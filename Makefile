@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test chaos overload overload-smoke anytime anytime-smoke cluster cluster-proc autoscale autoscale-smoke workload workload-smoke isolation isolation-smoke bench bench-fast bench-telemetry bench-admission bench-cluster examples experiments clean
+.PHONY: install test chaos overload overload-smoke anytime anytime-smoke cluster cluster-proc autoscale autoscale-smoke workload workload-smoke isolation isolation-smoke bench bench-fast bench-e2e examples experiments clean
 
 install:
 	pip install -e . --no-build-isolation || $(PYTHON) setup.py develop
@@ -75,14 +75,10 @@ bench:
 bench-fast:
 	$(PYTHON) -m pytest benchmarks/test_inference_fastpath.py --benchmark-only -s
 
-bench-telemetry:
-	$(PYTHON) -m pytest benchmarks/test_telemetry_overhead.py --benchmark-only -s
-
-bench-admission:
-	$(PYTHON) -m pytest benchmarks/test_admission_overhead.py --benchmark-only -s
-
-bench-cluster:
-	$(PYTHON) -m pytest benchmarks/test_cluster_overhead.py --benchmark-only -s
+# The repo's benchmark (BENCHMARK.json): five workloads, end-to-end and
+# per-layer metrics; results land in the git-ignored bench/out/.
+bench-e2e:
+	python3 bench/run.py --seed 0
 
 examples:
 	$(PYTHON) examples/quickstart.py
@@ -95,5 +91,5 @@ experiments:
 	$(PYTHON) -m repro.cli all
 
 clean:
-	rm -rf .bench_cache bench_results .pytest_cache
+	rm -rf .bench_cache .pytest_cache
 	find . -name __pycache__ -type d -exec rm -rf {} +

@@ -21,8 +21,7 @@ see PAPERS.md, applied to the RTDeepIoT scheduler):
 **Off by default.**  Every integration point is ``None``-guarded exactly
 like :mod:`repro.telemetry` and :mod:`repro.faults`: with no controller
 on the service and no :class:`AdmissionConfig` on a runtime/simulator
-config, behaviour and performance are unchanged (guarded by
-``benchmarks/test_admission_overhead.py``)::
+config, behaviour and performance are unchanged::
 
     from repro import admission
 

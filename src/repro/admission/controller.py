@@ -191,10 +191,6 @@ class AdmissionController:
     and driving every internal token bucket; virtual-time callers (the
     workload engine) inject their own clock or pass ``now=`` to
     :meth:`admit` directly.
-
-    ``cache_states`` enables the pre-resolved admission-state cache on the
-    hot path (a lock-free dict read replacing limit lookup + lock per
-    scope per call); disable only to measure its effect.
     """
 
     def __init__(
@@ -210,7 +206,6 @@ class AdmissionController:
         work_conserving: bool = True,
         clock: Callable[[], float] = time.monotonic,
         max_tenant_keys: int = 1024,
-        cache_states: bool = True,
     ) -> None:
         if retry_after_floor_s < 0:
             raise ValueError("retry_after_floor_s must be non-negative")
@@ -230,10 +225,10 @@ class AdmissionController:
         self.tenant_capacity_burst = tenant_capacity_burst
         self.work_conserving = work_conserving
         self.max_tenant_keys = max_tenant_keys
-        self.cache_states = cache_states
         self._clock = clock
         self._states: Dict[Tuple[str, str], _KeyState] = {}
-        #: hot-path cache: (scope, key) -> resolved state (None = ungated).
+        #: hot-path cache: (scope, key) -> resolved state (None = ungated);
+        #: a lock-free dict read replacing limit lookup + lock per call.
         self._resolved: Dict[Tuple[str, str], Optional[_KeyState]] = {}
         self._lock = threading.Lock()
         # --- tenancy -------------------------------------------------
@@ -267,23 +262,20 @@ class AdmissionController:
         return self.per_endpoint.get(key, self.default)
 
     def _state_for(self, scope: str, key: str) -> Optional[_KeyState]:
-        if self.cache_states:
-            cache_key = (scope, key)
-            try:
-                return self._resolved[cache_key]
-            except KeyError:
-                pass
+        cache_key = (scope, key)
+        try:
+            return self._resolved[cache_key]
+        except KeyError:
+            pass
         limits = self._limits_for(scope, key)
         if limits is None or limits.unlimited:
-            if self.cache_states:
-                self._resolved[(scope, key)] = None
+            self._resolved[cache_key] = None
             return None
         with self._lock:
-            state = self._states.get((scope, key))
+            state = self._states.get(cache_key)
             if state is None:
-                state = self._states[(scope, key)] = _KeyState(limits)
-            if self.cache_states:
-                self._resolved[(scope, key)] = state
+                state = self._states[cache_key] = _KeyState(limits)
+            self._resolved[cache_key] = state
             return state
 
     def invalidate_cache(self) -> None:

@@ -202,7 +202,7 @@ def run_metrics_workload(seed: int = 0):
         )
     )
     # A deadline nobody can meet for 12 tasks on 2 workers: exercises the
-    # eviction daemon and the dispatch-time deadline re-check.
+    # scheduler loop's expiry sweep (evict, never dispatch).
     service.infer(
         InferRequest(
             model_id=trained.model_id,

@@ -29,30 +29,24 @@ DOWN = "down"
 #: Ordering used by routing policies: prefer lower ranks.
 STATUS_RANK = {HEALTHY: 0, SUSPECT: 1, DOWN: 2}
 
+#: weight of the newest observation in the latency and error EWMAs.
+EWMA_ALPHA = 0.3
+#: error EWMA past which a replica turns *suspect*.
+ERROR_RATE_THRESHOLD = 0.5
+#: seeds the latency EWMA so a replica that has never served still gets a
+#: finite expected wait in the utility policy.
+LATENCY_PRIOR_S = 0.005
+
 
 @dataclass(frozen=True)
 class HealthConfig:
-    """Knobs of the health judgment.
+    """The one knob of the health judgment: the heartbeat budget."""
 
-    ``ewma_alpha`` weights the newest observation; ``latency_prior_s``
-    seeds the latency EWMA so a replica that has never served still gets
-    a finite expected wait in the utility policy.
-    """
-
-    ewma_alpha: float = 0.3
-    error_rate_threshold: float = 0.5
     max_missed_heartbeats: int = 3
-    latency_prior_s: float = 0.005
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.ewma_alpha <= 1.0:
-            raise ValueError("ewma_alpha must be in (0, 1]")
-        if not 0.0 < self.error_rate_threshold <= 1.0:
-            raise ValueError("error_rate_threshold must be in (0, 1]")
         if self.max_missed_heartbeats < 1:
             raise ValueError("max_missed_heartbeats must be >= 1")
-        if self.latency_prior_s <= 0:
-            raise ValueError("latency_prior_s must be positive")
 
 
 class ReplicaHealth:
@@ -64,7 +58,7 @@ class ReplicaHealth:
         self.replica_id = replica_id
         self.config = config or HealthConfig()
         self._lock = threading.Lock()
-        self._latency_ewma_s = self.config.latency_prior_s
+        self._latency_ewma_s = LATENCY_PRIOR_S
         self._error_ewma = 0.0
         self._missed_heartbeats = 0
         self._down_reason: Optional[str] = None
@@ -74,16 +68,14 @@ class ReplicaHealth:
     # ------------------------------------------------------------------
     def record_success(self, latency_s: float) -> None:
         """A routed call succeeded: proof of life plus a latency sample."""
-        alpha = self.config.ewma_alpha
         with self._lock:
-            self._latency_ewma_s += alpha * (latency_s - self._latency_ewma_s)
-            self._error_ewma *= 1.0 - alpha
+            self._latency_ewma_s += EWMA_ALPHA * (latency_s - self._latency_ewma_s)
+            self._error_ewma *= 1.0 - EWMA_ALPHA
             self._missed_heartbeats = 0
 
     def record_error(self) -> None:
-        alpha = self.config.ewma_alpha
         with self._lock:
-            self._error_ewma += alpha * (1.0 - self._error_ewma)
+            self._error_ewma += EWMA_ALPHA * (1.0 - self._error_ewma)
 
     def heartbeat_ok(self) -> None:
         with self._lock:
@@ -129,7 +121,7 @@ class ReplicaHealth:
                 return DOWN
             if (
                 self._missed_heartbeats > 0
-                or self._error_ewma > self.config.error_rate_threshold
+                or self._error_ewma > ERROR_RATE_THRESHOLD
             ):
                 return SUSPECT
             return HEALTHY
@@ -150,7 +142,7 @@ class ReplicaHealth:
                 else SUSPECT
                 if (
                     self._missed_heartbeats > 0
-                    or self._error_ewma > self.config.error_rate_threshold
+                    or self._error_ewma > ERROR_RATE_THRESHOLD
                 )
                 else HEALTHY
             )

@@ -90,6 +90,19 @@ THREAD_BACKEND = "thread"
 PROCESS_BACKEND = "process"
 BACKENDS = frozenset({THREAD_BACKEND, PROCESS_BACKEND})
 
+#: per-replica circuit breaker: consecutive failures that open it, and
+#: how long it stays open before a half-open probe.
+BREAKER_FAILURE_THRESHOLD = 5
+BREAKER_COOLDOWN_S = 0.05
+#: how long :meth:`ServiceRouter.drain_replica` waits by default for
+#: in-flight work to finish before removing the replica anyway, and how
+#: often it looks.
+DRAIN_TIMEOUT_S = 30.0
+DRAIN_POLL_INTERVAL_S = 0.005
+#: distinct tenant ids that get their own router metric series before
+#: novel tenants fold into the ``__other__`` overflow series.
+MAX_TENANT_SERIES = 256
+
 
 class NoHealthyReplicaError(TransientServiceError):
     """Every candidate replica is down, open-circuited or failed.
@@ -110,15 +123,6 @@ class RouterConfig:
     #: inject ``hang`` faults should always set one).
     call_timeout_s: Optional[float] = None
     health: HealthConfig = field(default_factory=HealthConfig)
-    breaker_failure_threshold: int = 5
-    breaker_cooldown_s: float = 0.05
-    #: how long :meth:`ServiceRouter.drain_replica` waits for in-flight
-    #: work to finish before removing the replica anyway.
-    drain_timeout_s: float = 30.0
-    drain_poll_interval_s: float = 0.005
-    #: distinct tenant ids that get their own router metric series before
-    #: novel tenants fold into the ``__other__`` overflow series.
-    max_tenant_series: int = 256
 
     def __post_init__(self) -> None:
         if self.replication_factor < 1:
@@ -129,12 +133,6 @@ class RouterConfig:
             )
         if self.call_timeout_s is not None and self.call_timeout_s <= 0:
             raise ValueError("call_timeout_s must be positive when given")
-        if self.drain_timeout_s <= 0:
-            raise ValueError("drain_timeout_s must be positive")
-        if self.drain_poll_interval_s <= 0:
-            raise ValueError("drain_poll_interval_s must be positive")
-        if self.max_tenant_series < 1:
-            raise ValueError("max_tenant_series must be >= 1")
 
 
 class _RegistryView:
@@ -228,12 +226,12 @@ class ServiceRouter:
         #: bounded label space for tenant-keyed router metrics — tenant
         #: ids are caller-controlled, so unbounded cardinality must land
         #: in the ``__other__`` overflow series, not the registry.
-        self._tenant_labels = BoundedLabels(self.config.max_tenant_series)
+        self._tenant_labels = BoundedLabels(MAX_TENANT_SERIES)
 
     def _make_breaker(self) -> CircuitBreaker:
         return CircuitBreaker(
-            failure_threshold=self.config.breaker_failure_threshold,
-            cooldown_s=self.config.breaker_cooldown_s,
+            failure_threshold=BREAKER_FAILURE_THRESHOLD,
+            cooldown_s=BREAKER_COOLDOWN_S,
             clock=self.clock,
         )
 
@@ -631,7 +629,7 @@ class ServiceRouter:
         placements and other holders are preferred for reads; (2)
         re-replicate every model it holds onto the survivors, so each
         placement keeps its replication factor without it; (3) wait
-        (bounded by ``timeout_s`` / ``RouterConfig.drain_timeout_s``)
+        (bounded by ``timeout_s``, default ``DRAIN_TIMEOUT_S``)
         for its in-flight calls to finish; (4) fold its metrics into the
         retired registry, shut it down and remove it.  A replica that is
         killed mid-drain degrades to the crash path: its in-flight calls
@@ -660,13 +658,11 @@ class ServiceRouter:
         started = self.clock.now()
         replica = self.replicas[rid]
         moved = self._evacuate_models(rid)
-        budget = (
-            timeout_s if timeout_s is not None else self.config.drain_timeout_s
-        )
+        budget = timeout_s if timeout_s is not None else DRAIN_TIMEOUT_S
         drained = wait_until(
             lambda: replica.outstanding == 0 or not replica.alive,
             timeout=budget,
-            interval=self.config.drain_poll_interval_s,
+            interval=DRAIN_POLL_INTERVAL_S,
             clock=self.clock,
         )
         died = not replica.alive

@@ -16,8 +16,7 @@ keeps its promises when the substrate misbehaves:
 
 **Disarmed by default.**  Every injection site reduces to one
 module-attribute read and a ``None`` check when no plan is installed, so
-the serving fast path (guarded by ``make bench-fast`` /
-``make bench-telemetry``) is untouched until a plan is explicitly armed::
+the serving fast path (guarded by ``make bench-fast``) is untouched until a plan is explicitly armed::
 
     from repro import faults
 

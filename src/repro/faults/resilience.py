@@ -148,6 +148,11 @@ class CircuitBreaker:
         self._opened_at: Optional[float] = None
         self._probe_outstanding = False
 
+    def now(self) -> float:
+        """The breaker's own (injectable) clock: what state changes are
+        timed by, and what callers stamp trace events about them with."""
+        return self._clock()
+
     @property
     def state(self) -> str:
         self._maybe_half_open()

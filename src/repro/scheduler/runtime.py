@@ -11,9 +11,10 @@ threads (the Python analogue of the paper's worker-process pool):
   named pipes;
 - the scheduler loop re-plans with the freshest confidences whenever its
   timeline drains ("restarts again with the most recent utility estimates");
-- a daemon thread watches elapsed time per task and evicts tasks whose
-  latency constraint expired; a stage whose result arrives after eviction is
-  discarded, the worker simply "returns to the pool".
+- the paper's latency-constraint daemon is a role, not a thread: the
+  scheduler loop sweeps for expired tasks every turn and sleeps no longer
+  than the next live deadline; a stage whose result arrives after eviction
+  is discarded, the worker simply "returns to the pool".
 
 Implemented in user space, no OS support needed — the portability argument
 of Section III.
@@ -29,8 +30,8 @@ Two inference-fast-path extensions beyond the paper's design:
   splits the per-task confidences back out of the batch afterwards.  An
   optional ``drain_window`` lets an undersized batch briefly wait for more
   same-stage work while other results are still in flight.  Batches are
-  formed under the scheduler lock, so a task evicted by the daemon can
-  never appear in a newly formed batch.
+  formed by the same thread that evicts, right after its expiry sweep, so
+  an evicted task can never appear in a newly formed batch.
 
 Resilience (exercised by :mod:`repro.faults` and ``tests/faults/``):
 
@@ -55,6 +56,7 @@ must never die).  Both disarm to one global read + ``None`` check.
 from __future__ import annotations
 
 import itertools
+import math
 import queue
 import threading
 import time
@@ -82,8 +84,6 @@ class RuntimeConfig:
     num_workers: int = 2
     #: seconds each task may stay in the system (the latency constraint).
     latency_constraint: float = 5.0
-    #: daemon polling period in seconds.
-    daemon_interval: float = 0.005
     #: maximum number of same-stage tasks coalesced into one batched stage
     #: execution (1 = the paper's one-image-per-worker behaviour).
     max_batch: int = 1
@@ -187,7 +187,7 @@ class _WorkItem:
 def _eligible(
     records: Dict[int, TaskRecord], in_flight: Dict[int, int], tid: int, stage: int
 ) -> bool:
-    """Can (tid, stage) be executed right now?  (Call with the lock held.)"""
+    """Can (tid, stage) be executed right now?"""
     record = records.get(tid)
     return (
         record is not None
@@ -212,9 +212,9 @@ def form_batch(
     stage no longer matches the task's next stage) are dropped, exactly as
     the unbatched scheduler dropped them.
 
-    Returns ``(batch_task_ids, stage, remaining_timeline)``.  Must be
-    called with the scheduler lock held, which is what guarantees an
-    evicted task can never appear in a formed batch.
+    Returns ``(batch_task_ids, stage, remaining_timeline)``.  Only the
+    scheduler thread evicts and only it forms batches, which is what
+    guarantees an evicted task can never appear in a formed batch.
     """
     batch: List[int] = []
     stage: Optional[int] = None
@@ -250,7 +250,7 @@ def _extract_stage(
     """Pull up to ``need`` eligible entries for ``stage`` out of the timeline.
 
     Used to top up a held-back (drain-window) batch.  Entries for other
-    stages keep their position; stale entries are dropped.  Lock held.
+    stages keep their position; stale entries are dropped.
     """
     taken: List[int] = []
     remaining: Deque[tuple] = deque()
@@ -370,6 +370,11 @@ class StagedInferenceRuntime:
     # ------------------------------------------------------------------
     def run_until_complete(self) -> List[RuntimeTaskResult]:
         """Serve every submitted task to completion or eviction."""
+        # No lock: all task state below is read and written by the calling
+        # (scheduler) thread only.  The only objects reachable from both a
+        # worker and the scheduler are ``work_queue``, ``result_queue`` and
+        # the read-only model (the process-wide faults / telemetry sessions
+        # that workers also report to synchronise themselves).
         if not self._inputs:
             return []
         self.model.eval()
@@ -380,10 +385,8 @@ class StagedInferenceRuntime:
 
         records: Dict[int, TaskRecord] = {}
         features: Dict[int, np.ndarray] = {}
-        lock = threading.Lock()
         work_queue: "queue.Queue[Optional[_WorkItem]]" = queue.Queue()
         result_queue: "queue.Queue[tuple]" = queue.Queue()
-        stop = threading.Event()
 
         if tel is not None:
             # Pre-create the episode counters so a clean run still exports
@@ -410,13 +413,7 @@ class StagedInferenceRuntime:
             )
 
         def worker_loop() -> None:
-            while not stop.is_set():
-                try:
-                    item = work_queue.get(timeout=0.01)
-                except queue.Empty:
-                    continue
-                if item is None:
-                    return
+            for item in iter(work_queue.get, None):  # ``None`` = shut down
                 decision = faults.inject(WORKER_STAGE_SITE)
                 if decision is not None:
                     if decision.kind in (faults.LATENCY, faults.HANG):
@@ -463,47 +460,46 @@ class StagedInferenceRuntime:
                     )
                 )
 
-        def evict_task(record: TaskRecord, now: float) -> None:
-            """Close one task whose latency constraint expired.  Lock held.
+        def expire_overdue(now: float) -> float:
+            """The latency-constraint daemon of Section III, as a sweep.
 
-            Under the anytime contract a task holding at least one stage
-            result is *served* best-so-far at the deadline (degraded, never
-            late); only a task with nothing computed is a deadline miss.
+            Closes every live task whose deadline has passed — the one place
+            a deadline is compared against the clock for eviction.  Under
+            the anytime contract a task holding at least one stage result is
+            *served* best-so-far at the deadline (degraded, never late);
+            only a task with nothing computed is a deadline miss.  Returns
+            the seconds to the next live deadline (``inf`` when no task is
+            live), which bounds the scheduler's wait.
             """
-            if cfg.anytime and record.outcomes:
-                record.finalize_anytime(now)
-                if tel is not None:
-                    tel.registry.counter("runtime.anytime_served").inc()
-                    tel.trace.degraded(
-                        record.finish_time, record.task_id,
-                        record.outcomes[-1].stage,
-                    )
-                return
-            record.evicted = True
-            record.finish_time = now
-            if tel is not None:
-                tel.registry.counter("runtime.deadline_misses").inc()
-                tel.trace.deadline_miss(now, record.task_id, deadline=record.deadline)
-                tel.trace.evict(now, record.task_id, stages_done=record.stages_done)
-
-        def daemon_loop() -> None:
-            """The latency-constraint daemon of Section III."""
-            while not stop.is_set():
-                now = time.monotonic() - t0
-                with lock:
-                    for record in records.values():
-                        if not record.done and now > record.deadline:
-                            evict_task(record, now)
-                time.sleep(cfg.daemon_interval)
+            nearest = math.inf
+            for record in records.values():
+                if record.done:
+                    continue
+                tid = record.task_id
+                if now <= record.deadline:
+                    nearest = min(nearest, record.deadline)
+                elif cfg.anytime and record.outcomes:
+                    record.finalize_anytime(now)
+                    if tel is not None:
+                        tel.registry.counter("runtime.anytime_served").inc()
+                        tel.trace.degraded(
+                            record.finish_time, tid, record.outcomes[-1].stage
+                        )
+                else:
+                    record.evicted = True
+                    record.finish_time = now
+                    if tel is not None:
+                        tel.registry.counter("runtime.deadline_misses").inc()
+                        tel.trace.deadline_miss(now, tid, deadline=record.deadline)
+                        tel.trace.evict(now, tid, stages_done=record.stages_done)
+            return nearest - now
 
         workers = [
             threading.Thread(target=worker_loop, daemon=True)
             for _ in range(cfg.num_workers)
         ]
-        daemon = threading.Thread(target=daemon_loop, daemon=True)
         for w in workers:
             w.start()
-        daemon.start()
 
         in_flight: Dict[int, int] = {}  # task_id -> stage being executed
         timeline: Deque[tuple] = deque()
@@ -515,11 +511,8 @@ class StagedInferenceRuntime:
         outstanding: Dict[int, Tuple[Tuple[int, ...], int, float]] = {}
         item_ids = itertools.count()
 
-        def items_in_flight() -> int:
-            return len(outstanding)
-
         def dispatch(batch: Sequence[int], stage: int, now: float) -> None:
-            """Hand a formed micro-batch to the worker pool.  Lock held."""
+            """Hand a formed micro-batch to the worker pool."""
             decision = faults.inject(DISPATCH_SITE)
             if decision is not None and decision.kind in (faults.LATENCY, faults.HANG):
                 # Only stalls make sense here: the scheduler thread itself
@@ -552,23 +545,6 @@ class StagedInferenceRuntime:
                 )
                 tel.trace.stage_dispatch(now, stage, tids)
             work_queue.put(_WorkItem(item_id, tids, stage, feats, needs_stem))
-
-        def drop_overdue(batch: Sequence[int], now: float) -> List[int]:
-            """Deadline re-check at dispatch time.  Lock held.
-
-            The eviction daemon only samples every ``daemon_interval``; a
-            task whose deadline passed while a drain-window hold (or a
-            worker queue) delayed it must not be dispatched in the gap —
-            it is evicted here, exactly as the daemon would have.
-            """
-            live: List[int] = []
-            for tid in batch:
-                record = records[tid]
-                if now > record.deadline:
-                    evict_task(record, now)
-                else:
-                    live.append(tid)
-            return live
 
         def next_batch(now: float) -> Tuple[List[int], Optional[int]]:
             """Form the next micro-batch, replanning as needed.
@@ -651,9 +627,13 @@ class StagedInferenceRuntime:
             return batch, stage
 
         def refill(now: float) -> None:
-            """Keep the workers fed; replan when the timeline drains."""
+            """Keep the workers fed; replan when the timeline drains.
+
+            Runs right after ``expire_overdue(now)``: every live record is
+            inside its deadline, so eligibility is all a batch must re-check.
+            """
             nonlocal timeline, pending
-            while items_in_flight() < cfg.num_workers:
+            while len(outstanding) < cfg.num_workers:
                 if pending is not None:
                     batch, stage, formed_at = pending
                     # Re-validate: eviction or completion may have struck
@@ -676,34 +656,23 @@ class StagedInferenceRuntime:
                         pending = None
                         continue
                     expired = (now - formed_at) >= cfg.drain_window
-                    if len(batch) >= cfg.max_batch or expired or items_in_flight() == 0:
+                    if len(batch) >= cfg.max_batch or expired or not outstanding:
                         pending = None
-                        # The hold may have outlived a deadline the daemon
-                        # has not noticed yet: evict, never dispatch.
-                        batch = drop_overdue(batch, now)
-                        if batch:
-                            dispatch(batch, stage, now)
+                        dispatch(batch, stage, now)
                         continue
                     pending = (batch, stage, formed_at)
                     return
                 batch, stage = next_batch(now)
                 if not batch:
                     return
-                batch = drop_overdue(batch, now)
-                if not batch:
-                    continue
-                if (
-                    len(batch) < cfg.max_batch
-                    and cfg.drain_window > 0
-                    and items_in_flight() > 0
-                ):
+                if len(batch) < cfg.max_batch and cfg.drain_window > 0 and outstanding:
                     # Hold back: in-flight results may yield same-stage work.
                     pending = (batch, stage, now)
                     return
                 dispatch(batch, stage, now)
 
         def reap_lost_items(now: float) -> None:
-            """Release tasks of items outstanding past the timeout.  Lock held.
+            """Release tasks of items outstanding past the timeout.
 
             A reaped item's tasks become schedulable again; a late result
             for it is recognised as stale (its id is gone) and discarded, so
@@ -722,7 +691,7 @@ class StagedInferenceRuntime:
         def respawn_dead_workers(now: float) -> None:
             """Replace crashed worker threads so pool capacity survives."""
             for i, w in enumerate(workers):
-                if w.is_alive() or stop.is_set():
+                if w.is_alive():
                     continue
                 replacement = threading.Thread(target=worker_loop, daemon=True)
                 workers[i] = replacement
@@ -732,87 +701,75 @@ class StagedInferenceRuntime:
                     tel.trace.worker_respawn(now, i)
 
         try:
-            with lock:
-                refill(0.0)
             while True:
-                with lock:
-                    if (
-                        all(r.done for r in records.values())
-                        and items_in_flight() == 0
-                    ):
-                        break
-                    wait = 0.005 if pending is not None else 0.05
+                now = time.monotonic() - t0
+                to_deadline = expire_overdue(now)
+                refill(now)
+                if not outstanding and all(r.done for r in records.values()):
+                    break
+                # Wake on a result, the idle / drain-window tick or the next
+                # live deadline, whichever comes first.
+                wait = min(0.005 if pending is not None else 0.05, to_deadline)
                 try:
                     item_id, tids, stage, predictions, confidences, new_features = (
                         result_queue.get(timeout=wait)
                     )
                 except queue.Empty:
-                    # Evictions (or an expiring drain window) may have freed
-                    # scheduling slots meanwhile; with a fault plan armed,
-                    # items may also be lost and workers dead.
-                    now = time.monotonic() - t0
-                    with lock:
-                        if faults.active() is not None:
-                            reap_lost_items(now)
-                            respawn_dead_workers(now)
-                        refill(now)
+                    # With a fault plan armed, items may be lost and workers
+                    # dead; the next turn's refill re-issues what this frees.
+                    if faults.active() is not None:
+                        now = time.monotonic() - t0
+                        reap_lost_items(now)
+                        respawn_dead_workers(now)
                     continue
                 now = time.monotonic() - t0
-                with lock:
-                    if outstanding.pop(item_id, None) is None:
-                        # Stale: the watchdog already reaped this item (its
-                        # tasks may even be re-executing).  Discard.
-                        if tel is not None:
-                            tel.registry.counter("runtime.stale_results").inc()
-                        continue
-                    if not np.all(np.isfinite(confidences)):
-                        # Corrupted payload: reject the whole batch and
-                        # release its tasks for re-execution — a NaN
-                        # confidence must never reach the policy or a client.
-                        for tid in tids:
-                            in_flight.pop(tid, None)
-                        if tel is not None:
-                            tel.registry.counter("runtime.corrupt_results").inc()
-                            tel.trace.item_retry(now, stage, tids)
-                        refill(now)
-                        continue
-                    for i, tid in enumerate(tids):
+                # A stage that finished past its task's deadline is discarded,
+                # as the simulator does: the sweep closes the task first.
+                expire_overdue(now)
+                if outstanding.pop(item_id, None) is None:
+                    # Stale: the watchdog already reaped this item (its tasks
+                    # may even be re-executing).  Discard.
+                    if tel is not None:
+                        tel.registry.counter("runtime.stale_results").inc()
+                    continue
+                if not np.all(np.isfinite(confidences)):
+                    # Corrupted payload: reject the whole batch and release
+                    # its tasks for re-execution — a NaN confidence must
+                    # never reach the policy or a client.
+                    for tid in tids:
                         in_flight.pop(tid, None)
-                        record = records[tid]
-                        if record.done:
-                            # Evicted, shed, or already served best-so-far
-                            # by the anytime contract: a late stage result
-                            # must never be appended after the response.
-                            continue
-                        if now > record.deadline:
-                            # The stage finished after the latency constraint
-                            # expired (the daemon may not have sampled yet):
-                            # the result is discarded, as the simulator does.
-                            evict_task(record, now)
-                            continue
-                        record.outcomes.append(
-                            StageOutcome(
-                                stage=stage,
-                                prediction=int(predictions[i]),
-                                confidence=float(confidences[i]),
-                            )
+                    if tel is not None:
+                        tel.registry.counter("runtime.corrupt_results").inc()
+                        tel.trace.item_retry(now, stage, tids)
+                    continue
+                for i, tid in enumerate(tids):
+                    in_flight.pop(tid, None)
+                    record = records[tid]
+                    if record.done:
+                        # Evicted, shed, or already served best-so-far by the
+                        # anytime contract: a late stage result must never
+                        # be appended after the response.
+                        continue
+                    record.outcomes.append(
+                        StageOutcome(
+                            stage=stage,
+                            prediction=int(predictions[i]),
+                            confidence=float(confidences[i]),
                         )
-                        features[tid] = new_features[i : i + 1].copy()
-                        if record.complete:
-                            record.finish_time = now
-                            if tel is not None:
-                                tel.registry.counter("runtime.tasks_completed").inc()
-                                tel.trace.complete(
-                                    now, tid, stages_done=record.stages_done
-                                )
-                    refill(now)
+                    )
+                    features[tid] = new_features[i : i + 1].copy()
+                    if record.complete:
+                        record.finish_time = now
+                        if tel is not None:
+                            tel.registry.counter("runtime.tasks_completed").inc()
+                            tel.trace.complete(
+                                now, tid, stages_done=record.stages_done
+                            )
         finally:
-            stop.set()
             for _ in workers:
                 work_queue.put(None)
             for w in workers:
                 w.join(timeout=1.0)
-            daemon.join(timeout=1.0)
 
         results = []
         for tid in sorted(records):

@@ -157,7 +157,7 @@ class EugeneClient:
             tel = telemetry.active()
             if tel is not None:
                 tel.registry.counter(f"client.retries.{endpoint}").inc()
-                tel.trace.retry(0.0, endpoint, attempt_no)
+                tel.trace.retry(breaker.now(), endpoint, attempt_no)
 
         try:
             result = self.retry_policy.call(attempt, on_retry=on_retry)
@@ -169,7 +169,7 @@ class EugeneClient:
             tel = telemetry.active()
             if tel is not None and breaker.state == OPEN:
                 tel.registry.counter(f"client.breaker_open.{endpoint}").inc()
-                tel.trace.breaker_open(0.0, endpoint)
+                tel.trace.breaker_open(breaker.now(), endpoint)
             if isinstance(error, RetriesExhaustedError) and isinstance(
                 error.last_error, BackpressureError
             ):
@@ -182,7 +182,7 @@ class EugeneClient:
         if state_before != CLOSED:
             tel = telemetry.active()
             if tel is not None:
-                tel.trace.breaker_close(0.0, endpoint)
+                tel.trace.breaker_close(breaker.now(), endpoint)
         return result
 
     @staticmethod

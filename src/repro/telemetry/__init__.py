@@ -13,8 +13,8 @@ the service endpoints instead of ad-hoc logs:
 
 **Disabled by default.**  Every instrumented hot path does exactly one
 module-attribute read and a ``None`` check when telemetry is off, so the
-fast-path benchmarks (``make bench-fast``, ``make bench-telemetry``) are
-unaffected until a session is explicitly enabled::
+fast-path benchmark (``make bench-fast``) is unaffected until a session
+is explicitly enabled::
 
     from repro import telemetry
 

@@ -384,8 +384,7 @@ class MetricsRegistry:
     capture happens in one critical section, so no concurrently running
     writer can be observed half-way through a multi-instrument update.
     The per-operation cost is unchanged (one uncontended lock acquire,
-    same as the previous per-instrument locks — guarded by
-    ``make bench-telemetry``).
+    same as the previous per-instrument locks).
     """
 
     def __init__(self) -> None:

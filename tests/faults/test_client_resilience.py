@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from repro import faults, telemetry
+from repro.cluster.clock import VirtualClock
 from repro.faults import (
     CircuitBreaker,
     CircuitOpenError,
@@ -157,6 +158,34 @@ class TestCircuitBreaker:
             assert result == "ok"
             assert client.breaker("classify").state == "closed"
             assert len(tel.trace.events(telemetry.BREAKER_CLOSE)) == 1
+
+    def test_trace_events_stamped_from_the_breaker_clock(self):
+        """retry / breaker-open / breaker-close carry the breaker's own
+        (virtual) time, not a literal 0.0."""
+        clock = VirtualClock(start=100.0)
+        client = EugeneClient(
+            StubService(),
+            retry_policy=RetryPolicy(max_attempts=2, base_delay_s=0.0),
+            breaker_factory=lambda: CircuitBreaker(
+                failure_threshold=1, cooldown_s=5.0, clock=clock
+            ),
+        )
+        plan = FaultPlan(
+            seed=0, specs=[FaultSpec("client.classify", faults.ERROR, at=(0, 1))]
+        )
+        with telemetry.session() as tel, faults.plan_session(plan):
+            clock.advance(1.5)
+            with pytest.raises(RetriesExhaustedError):
+                client.classify("m", INPUTS)  # attempt, retry, open
+            clock.advance(7.0)  # past the cooldown: the next call is the probe
+            result, _ = client.classify("m", INPUTS)
+            assert result == "ok"
+            (retry,) = tel.trace.events(telemetry.RETRY)
+            (opened,) = tel.trace.events(telemetry.BREAKER_OPEN)
+            (closed,) = tel.trace.events(telemetry.BREAKER_CLOSE)
+            assert retry.t == opened.t == 101.5
+            assert closed.t == 108.5
+            assert opened.t < closed.t
 
     def test_breakers_are_per_endpoint(self):
         client = make_client(StubService())

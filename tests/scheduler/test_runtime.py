@@ -78,7 +78,7 @@ class TestStagedInferenceRuntime:
         runtime = StagedInferenceRuntime(
             model,
             RoundRobinPolicy(),
-            RuntimeConfig(num_workers=1, latency_constraint=0.002, daemon_interval=0.0005),
+            RuntimeConfig(num_workers=1, latency_constraint=0.002),
         )
         runtime.submit(test_set.inputs[:12])
         results = runtime.run_until_complete()

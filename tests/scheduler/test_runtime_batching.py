@@ -171,7 +171,6 @@ class TestBatchedRuntimeEquivalence:
             RuntimeConfig(
                 num_workers=2,
                 latency_constraint=0.03,
-                daemon_interval=0.001,
                 max_batch=4,
                 drain_window=0.005,
             ),

@@ -1,17 +1,20 @@
-"""Dispatch-time deadline enforcement and RuntimeConfig validation.
+"""Deadline enforcement by the scheduler loop, and RuntimeConfig validation.
 
-The eviction daemon only samples every ``daemon_interval`` seconds, so a
-task whose deadline passed while a batch was held back (drain window) or
-while it waited in the timeline used to slip through and execute another
-stage.  The scheduler now re-checks deadlines at dispatch time: these
-tests run with the daemon effectively disabled (a huge interval) so any
-eviction observed *must* come from the dispatch-time re-check.
+The runtime has no eviction daemon thread: the scheduler loop sweeps for
+overdue tasks at the top of every turn and right after every dequeued
+result — the only place a deadline is compared against the clock — and
+sleeps no longer than the next live deadline.  A task whose deadline
+passed while a batch was held back (drain window), while it waited in the
+timeline, or while a worker hung must be evicted (or served best-so-far
+under ``anytime``), on time, and never dispatched.
 """
+
+import threading
 
 import numpy as np
 import pytest
 
-from repro import telemetry
+from repro import faults, telemetry
 from repro.nn.resnet import StagedResNet, StagedResNetConfig
 from repro.scheduler.policies import FIFOPolicy, RoundRobinPolicy
 from repro.scheduler.runtime import RuntimeConfig, StagedInferenceRuntime
@@ -67,7 +70,7 @@ class TestRuntimeConfigValidation:
 
 class TestDispatchTimeDeadlineCheck:
     def test_overdue_tasks_evicted_not_dispatched(self, small_model):
-        """With the daemon asleep, expired tasks must still be evicted."""
+        """Expired tasks are evicted by the sweep, never dispatched."""
         inputs = np.random.default_rng(1).normal(size=(48, 3, 16, 16))
         runtime = StagedInferenceRuntime(
             small_model,
@@ -75,13 +78,12 @@ class TestDispatchTimeDeadlineCheck:
             RuntimeConfig(
                 num_workers=1,
                 latency_constraint=0.03,
-                daemon_interval=30.0,  # daemon never fires during the run
             ),
         )
         runtime.submit(inputs)
         results = runtime.run_until_complete()
         # 48 tasks x 2 stages on one worker far exceeds 30ms: the
-        # dispatch-time re-check must have evicted the tail of the queue.
+        # expiry sweep must have evicted the tail of the queue.
         assert any(r.evicted for r in results)
         # An evicted task was cut short; a surviving one ran every stage.
         for r in results:
@@ -100,7 +102,6 @@ class TestDispatchTimeDeadlineCheck:
                 RuntimeConfig(
                     num_workers=2,
                     latency_constraint=constraint,
-                    daemon_interval=30.0,
                     max_batch=4,
                     drain_window=0.02,
                 ),
@@ -125,7 +126,7 @@ class TestDispatchTimeDeadlineCheck:
             )
 
     def test_comfortable_deadline_unaffected(self, small_model):
-        """The re-check must not evict anything when deadlines are loose."""
+        """The sweep must not evict anything when deadlines are loose."""
         inputs = np.random.default_rng(3).normal(size=(6, 3, 16, 16))
         runtime = StagedInferenceRuntime(
             small_model,
@@ -141,3 +142,52 @@ class TestDispatchTimeDeadlineCheck:
         results = runtime.run_until_complete()
         assert all(not r.evicted for r in results)
         assert all(len(r.outcomes) == small_model.num_stages for r in results)
+
+    @pytest.mark.parametrize("anytime", [True, False])
+    def test_hung_worker_neither_delays_eviction_nor_needs_a_daemon(
+        self, small_model, monkeypatch, anytime
+    ):
+        """One worker hangs past the constraint: every task still closes at
+        its deadline (the wait is sized by the next deadline, not by the
+        50 ms idle tick), and the run's only extra threads are its workers.
+        """
+        constraint, num_workers = 0.06, 1
+        before = set(threading.enumerate())
+        extra_threads = []
+        real_infer_stage = small_model.infer_stage
+
+        def spying_infer_stage(feats, stage):
+            extra_threads.append(len(set(threading.enumerate()) - before))
+            return real_infer_stage(feats, stage)
+
+        monkeypatch.setattr(small_model, "infer_stage", spying_infer_stage)
+        # Stage call 0 (task 0, stage 0) completes; call 1 hangs for 0.25 s.
+        plan = faults.FaultPlan(
+            seed=0,
+            specs=[
+                faults.FaultSpec(
+                    "runtime.worker.stage", faults.HANG, at=(1,), latency_s=0.25
+                )
+            ],
+        )
+        runtime = StagedInferenceRuntime(
+            small_model,
+            FIFOPolicy(),
+            RuntimeConfig(
+                num_workers=num_workers,
+                latency_constraint=constraint,
+                anytime=anytime,
+            ),
+        )
+        runtime.submit(np.random.default_rng(4).normal(size=(3, 3, 16, 16)))
+        with faults.plan_session(plan):
+            results = runtime.run_until_complete()
+
+        assert all(r.elapsed <= constraint + 0.02 for r in results), [
+            r.elapsed for r in results
+        ]
+        # Task 0 finished one stage before the hang; tasks 1-2 never ran.
+        assert [r.anytime_served for r in results] == [anytime, False, False]
+        assert [r.evicted for r in results] == [not anytime, True, True]
+        assert [len(r.outcomes) for r in results] == [1, 0, 0]
+        assert extra_threads and set(extra_threads) == {num_workers}
