@@ -1,9 +1,10 @@
 """Neural-network operations built on the :mod:`repro.nn.tensor` autograd engine.
 
 Implements the convolution/pooling/softmax machinery required by the staged
-ResNet of the Eugene paper (Fig. 3).  Convolutions use the im2col lowering so
-the heavy lifting happens inside a single BLAS matmul per layer, which keeps
-pure-numpy training of the synthetic-CIFAR models tractable.
+ResNet of the Eugene paper (Fig. 3).  A convolution is lowered by im2col to
+one padded copy, one strided copy and one ``np.matmul`` (BLAS) call.  At the
+staged ResNet's sizes numpy's per-call overhead, not arithmetic, dominates a
+stage forward, so a convolution makes no other numpy call of any cost.
 """
 
 from __future__ import annotations
@@ -27,29 +28,43 @@ def conv_output_size(size: int, kernel: int, stride: int, pad: int) -> int:
 class _ScratchPool(threading.local):
     """Per-thread reusable buffers for the inference fast path.
 
-    Keyed by (shape, dtype).  Thread-local so the runtime's worker threads
-    never hand each other a buffer mid-write.  Buffers are only reused on
-    the no-grad path: the autograd path retains ``cols`` inside backward
-    closures, so it must own a fresh allocation per call.
+    Keyed by (shape, dtype, pad); ``factory`` makes a buffer the first time
+    a key is seen.  A pool holds at most ``MAX_BYTES``: the oldest buffers
+    are evicted to make room, and a buffer larger than that on its own is
+    handed out but not kept, so a one-off large batch on a long-lived
+    thread (a service's evaluation pass) does not stay resident.
+    Thread-local so the runtime's worker threads never hand each other a
+    buffer mid-write.  Buffers are only reused on the no-grad path: the
+    autograd path retains ``cols`` inside backward closures, so it must own
+    a fresh allocation per call.
     """
 
-    MAX_ENTRIES = 16
+    #: Room for the column buffers of a 64-image staged-ResNet forward at
+    #: the bench model's size (13 MB), not for a 128-image one (29 MB).
+    MAX_BYTES = 16 << 20
 
-    def __init__(self) -> None:
+    def __init__(self, factory) -> None:
+        self.factory = factory
         self.buffers: Dict[tuple, np.ndarray] = {}
 
-    def get(self, shape: Tuple[int, ...], dtype: np.dtype) -> np.ndarray:
-        key = (shape, np.dtype(dtype).str)
+    def get(self, shape: Tuple[int, ...], dtype: np.dtype, pad: int = 0) -> np.ndarray:
+        key = (shape, dtype, pad)
         buf = self.buffers.get(key)
         if buf is None:
-            if len(self.buffers) >= self.MAX_ENTRIES:
-                self.buffers.clear()
-            buf = np.empty(shape, dtype=dtype)
-            self.buffers[key] = buf
+            buf = self.factory(shape, dtype=dtype)
+            if buf.nbytes <= self.MAX_BYTES:
+                held = sum(b.nbytes for b in self.buffers.values())
+                while held + buf.nbytes > self.MAX_BYTES:
+                    held -= self.buffers.pop(next(iter(self.buffers))).nbytes
+                self.buffers[key] = buf
         return buf
 
 
-_scratch = _ScratchPool()
+# Column buffers are fully overwritten by every call.  Pad buffers start at
+# zero and only their interior is ever written, so the border stays zero;
+# ``pad`` is part of their key because it fixes where the interior lies.
+_cols_scratch = _ScratchPool(np.empty)
+_pad_scratch = _ScratchPool(np.zeros)
 
 
 def _patch_view(x: np.ndarray, kernel: int, stride: int) -> np.ndarray:
@@ -78,24 +93,33 @@ def im2col(
     Returns ``(cols, (out_h, out_w))`` where ``cols`` has shape
     ``(N, C * kernel * kernel, out_h * out_w)``.
 
-    Patch gathering is a single strided copy out of an ``as_strided`` view
-    (no per-offset python loop).  With ``reuse_scratch=True`` the column
-    buffer comes from a per-thread pool and is overwritten by the next
-    scratch call — valid only when the caller does not retain it (the
-    no-grad inference path).
+    Padding is one copy of ``x`` into the interior of a zero-bordered
+    buffer; patch gathering is one strided copy out of an ``as_strided``
+    view of it (no per-offset python loop).  With ``reuse_scratch=True``
+    both buffers come from per-thread pools — the padded one keeps the
+    zero border it was made with, since only its interior is ever written
+    — and the column buffer is overwritten by the next scratch call, so
+    this is valid only when the caller does not retain it (the no-grad
+    inference path).
     """
     n, c, h, w = x.shape
     out_h = conv_output_size(h, kernel, stride, pad)
     out_w = conv_output_size(w, kernel, stride, pad)
     if pad > 0:
-        x = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    view = _patch_view(x, kernel, stride)
-    shape = (n, c, kernel, kernel, out_h, out_w)
+        padded_shape = (n, c, h + 2 * pad, w + 2 * pad)
+        if reuse_scratch:
+            padded = _pad_scratch.get(padded_shape, x.dtype, pad)
+        else:
+            padded = np.zeros(padded_shape, dtype=x.dtype)
+        padded[:, :, pad:pad + h, pad:pad + w] = x
+        x = padded
+    cols_shape = (n, c * kernel * kernel, out_h * out_w)
     if reuse_scratch:
-        cols = _scratch.get((n, c * kernel * kernel, out_h * out_w), x.dtype)
+        cols = _cols_scratch.get(cols_shape, x.dtype)
     else:
-        cols = np.empty((n, c * kernel * kernel, out_h * out_w), dtype=x.dtype)
-    np.copyto(cols.reshape(shape), view)
+        cols = np.empty(cols_shape, dtype=x.dtype)
+    np.copyto(cols.reshape(n, c, kernel, kernel, out_h, out_w),
+              _patch_view(x, kernel, stride))
     return cols, (out_h, out_w)
 
 
@@ -135,6 +159,8 @@ def _conv2d_forward(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Shared raw-ndarray convolution forward; returns ``(out, cols)``.
 
+    One :func:`im2col` and one ``np.matmul`` of the ``(out_c, C*k*k)``
+    weight matrix against every image's ``(C*k*k, out_h*out_w)`` columns.
     Both the autograd op and the no-grad fast path run exactly this code,
     so their outputs are bit-identical by construction.
     """
@@ -148,8 +174,7 @@ def _conv2d_forward(
         )
     cols, (out_h, out_w) = im2col(x, kernel, stride, padding,
                                   reuse_scratch=reuse_scratch)
-    w2 = weight.reshape(out_c, -1)
-    out = np.einsum("of,nfp->nop", w2, cols, optimize=True)
+    out = np.matmul(weight.reshape(out_c, -1), cols)
     out = out.reshape(n, out_c, out_h, out_w)
     if bias is not None:
         out = out + bias.reshape(1, out_c, 1, 1)
@@ -197,10 +222,10 @@ def conv2d(
         if bias is not None and bias.requires_grad:
             bias._accumulate(grad.sum(axis=(0, 2, 3)))
         if weight.requires_grad:
-            dw = np.einsum("nop,nfp->of", grad2, cols, optimize=True)
+            dw = np.matmul(grad2, cols.transpose(0, 2, 1)).sum(axis=0)
             weight._accumulate(dw.reshape(weight.shape))
         if x.requires_grad:
-            dcols = np.einsum("of,nop->nfp", w2, grad2, optimize=True)
+            dcols = np.matmul(w2.T, grad2)
             x._accumulate(col2im(dcols, input_shape, kernel, stride, padding))
 
     parents = (x, weight) if bias is None else (x, weight, bias)

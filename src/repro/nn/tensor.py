@@ -514,22 +514,6 @@ class Tensor:
 
         return Tensor._make(out_data, (self,), backward_fn, "getitem")
 
-    def pad2d(self, pad: int) -> "Tensor":
-        """Zero-pad the last two axes symmetrically by ``pad`` pixels."""
-        if pad == 0:
-            return self
-        widths = [(0, 0)] * (self.ndim - 2) + [(pad, pad), (pad, pad)]
-        out_data = np.pad(self.data, widths)
-        slices = tuple(
-            [slice(None)] * (self.ndim - 2)
-            + [slice(pad, -pad), slice(pad, -pad)]
-        )
-
-        def backward_fn(grad: np.ndarray) -> None:
-            self._accumulate(grad[slices])
-
-        return Tensor._make(out_data, (self,), backward_fn, "pad2d")
-
 
 # ----------------------------------------------------------------------
 # Module-level helpers operating on tensors

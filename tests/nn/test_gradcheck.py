@@ -2,7 +2,8 @@
 
 Coverage the ad-hoc per-file checks never had: BatchNorm (1D and 2D, in
 both train and eval mode), eval-mode Dropout, every differentiable loss,
-and the GRU cell — all through the shared :func:`tests.nn.gradcheck
+the GRU cell and the convolution shapes of a residual block — all through
+the shared :func:`tests.nn.gradcheck
 .gradcheck` helper.
 """
 
@@ -18,6 +19,7 @@ from repro.nn import (
     cross_entropy,
     gaussian_nll_mse,
 )
+from repro.nn import functional as F
 from repro.nn.losses import entropy_regularized_ce, gaussian_nll, mae, mse
 
 from .gradcheck import gradcheck
@@ -93,6 +95,22 @@ class TestLossGradients:
             x,
             atol=1e-5,
         )
+
+
+class TestConv2DGradients:
+    """``F.conv2d`` shapes beyond the stride-2 / pad-1 case checked in
+    ``test_inference_mode``: a same-size 3x3 and a 1x1 strided shortcut."""
+
+    @pytest.mark.parametrize(
+        "kernel,stride,padding", [(3, 1, 1), (1, 2, 0)], ids=["3x3-s1-p1", "1x1-s2"]
+    )
+    def test_input_and_weight(self, kernel, stride, padding):
+        rng = np.random.default_rng(18)
+        x = rng.normal(size=(2, 3, 5, 5))
+        w = rng.normal(size=(4, 3, kernel, kernel))
+        b = Tensor(rng.normal(size=(4,)))
+        gradcheck(lambda t: F.conv2d(t, Tensor(w), b, stride, padding) ** 2, x)
+        gradcheck(lambda t: F.conv2d(Tensor(x), t, b, stride, padding) ** 2, w)
 
 
 class TestRNNGradients:

@@ -6,6 +6,7 @@ exactly the bytes the autograd forward produces in eval mode.  These tests
 pin that contract with ``assert_array_equal`` (no tolerances).
 """
 
+import sys
 import threading
 
 import numpy as np
@@ -176,6 +177,122 @@ class TestIm2ColFastPath:
         w = Tensor(rng.normal(size=(3, 2, 3, 3)))
         b = Tensor(rng.normal(size=(3,)))
         gradcheck(lambda t: F.conv2d(t, w, b, stride=2, padding=1), x)
+
+
+# ----------------------------------------------------------------------
+# Convolution lowering: numerics against a loop, and the scratch pools
+# ----------------------------------------------------------------------
+def _conv_reference(x, w, b, stride, pad):
+    """Explicit loop over output pixels; shares no code with im2col."""
+    n, c, h, wd = x.shape
+    out_c, _, k, _ = w.shape
+    xp = np.zeros((n, c, h + 2 * pad, wd + 2 * pad))
+    xp[:, :, pad : pad + h, pad : pad + wd] = x
+    out_h = (h + 2 * pad - k) // stride + 1
+    out_w = (wd + 2 * pad - k) // stride + 1
+    out = np.empty((n, out_c, out_h, out_w))
+    for i in range(out_h):
+        for j in range(out_w):
+            patch = xp[:, :, i * stride : i * stride + k, j * stride : j * stride + k]
+            out[:, :, i, j] = np.tensordot(patch, w, axes=([1, 2, 3], [1, 2, 3]))
+    return out + b.reshape(1, out_c, 1, 1)
+
+
+class TestConvLowering:
+    @pytest.mark.parametrize("kernel", [1, 3])
+    @pytest.mark.parametrize("pad", [0, 1])
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("batch", [1, 16])
+    def test_matches_loop_reference(self, batch, stride, pad, kernel):
+        rng = np.random.default_rng(batch * 100 + stride * 10 + pad + kernel)
+        x = rng.normal(size=(batch, 8, 12, 12))
+        w = rng.normal(size=(16, 8, kernel, kernel))
+        b = rng.normal(size=(16,))
+        ref = _conv_reference(x, w, b, stride, pad)
+        fast = F.conv2d_infer(x, w, b, stride=stride, padding=pad)
+        graph = F.conv2d(Tensor(x), Tensor(w), Tensor(b), stride=stride, padding=pad).data
+        np.testing.assert_allclose(fast, ref, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(graph, ref, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("shape,pad", [((2, 3, 6, 6), 1), ((2, 3, 4, 4), 2)])
+    def test_scratch_border_stays_zero(self, shape, pad):
+        # Both cases pad to 8x8: a 6x6 image's interior covers the 4x4
+        # image's border, so the pad buffer must not be shared between them.
+        rng = np.random.default_rng(20)
+        w = rng.normal(size=(4, 3, 3, 3))
+        F.conv2d_infer(np.full((2, 3, 6, 6), 1e6), w, None, stride=1, padding=1)
+        x = rng.normal(size=shape)
+        fresh = F.conv2d(Tensor(x), Tensor(w), None, stride=1, padding=pad).data
+        np.testing.assert_array_equal(
+            F.conv2d_infer(x, w, None, stride=1, padding=pad), fresh
+        )
+
+    def test_no_cross_talk_between_threads(self):
+        """More threads than cores convolve same-shape inputs concurrently."""
+        rng = np.random.default_rng(21)
+        w = rng.normal(size=(8, 4, 3, 3))
+        inputs = [rng.normal(size=(2, 4, 8, 8)) for _ in range(4)]
+        refs = [F.conv2d_infer(x, w, None, stride=1, padding=1).copy() for x in inputs]
+        start = threading.Barrier(len(inputs))
+        mismatches = []
+
+        def worker(idx):
+            start.wait(timeout=10)
+            for _ in range(200):
+                out = F.conv2d_infer(inputs[idx], w, None, stride=1, padding=1)
+                if not np.array_equal(out, refs[idx]):
+                    mismatches.append(idx)
+
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(len(inputs))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert mismatches == []
+
+    def test_pools_stop_allocating_for_a_model_served_at_two_batch_sizes(self):
+        """The bench model at batch 1 and 16: 16 column and 8 pad shapes."""
+        model = StagedResNet(StagedResNetConfig(num_classes=6, image_size=12))
+        model.eval()
+        rng = np.random.default_rng(22)
+        batches = [rng.normal(size=(n, 3, 12, 12)) for n in (1, 16)]
+
+        def serve_both():
+            for x in batches:
+                features = model.infer_stem(x)
+                for stage in range(model.num_stages):
+                    features, _ = model.infer_stage(features, stage)
+
+        pools = (F._cols_scratch, F._pad_scratch)
+        for pool in pools:
+            pool.buffers.clear()
+        serve_both()
+        warm = [dict(pool.buffers) for pool in pools]
+        assert [len(w) for w in warm] == [16, 8]
+        for _ in range(3):
+            serve_both()
+        for pool, before in zip(pools, warm):
+            assert pool.buffers.keys() == before.keys()
+            assert all(pool.buffers[key] is buf for key, buf in before.items())
+
+    def test_pool_holds_at_most_max_bytes_evicting_oldest_first(self):
+        pool = F._ScratchPool(np.empty)
+        limit = pool.MAX_BYTES
+        too_big = pool.get((limit // 8 + 1,), np.float64)
+        assert too_big.nbytes > limit and pool.buffers == {}
+        mib = (1 << 20) // 8
+        keys = [((mib + i,), np.float64, 0) for i in range(40)]
+        for shape, dtype, _ in keys:
+            pool.get(shape, dtype)
+        assert sum(b.nbytes for b in pool.buffers.values()) <= limit
+        assert list(pool.buffers) == keys[-len(pool.buffers):]
+        assert len(pool.buffers) == limit // (1 << 20) - 1
 
 
 # ----------------------------------------------------------------------

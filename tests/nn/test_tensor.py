@@ -159,9 +159,6 @@ class TestShapeOps:
         t[idx].sum().backward()
         np.testing.assert_allclose(t.grad, [2, 0, 1])
 
-    def test_pad2d_grad(self):
-        check_grad(lambda a: (a.pad2d(1) ** 2).sum(), (1, 2, 3, 3))
-
     def test_concatenate_grad(self):
         a = Tensor(np.ones((2, 2)), requires_grad=True)
         b = Tensor(np.ones((3, 2)), requires_grad=True)
