@@ -57,7 +57,7 @@ def main() -> None:
           f"{[f'{a:.2f}' for a in trained.stage_accuracies]}")
 
     response = client.infer(trained.model_id, test_set.inputs[:64],
-                            latency_constraint_s=60.0, num_workers=4)
+                            latency_constraint_s=60.0)
     accuracy = np.mean(
         [p == l for p, l in zip(response.predictions, test_set.labels[:64])]
     )

@@ -13,7 +13,8 @@ one core) or a ``spin`` (compute-bound, GIL-holding; only the
 ``process`` backend's real OS processes overlap it — the multi-core
 claim this experiment gates, with the thread backend as the recorded
 baseline and the bar scaled to the cores actually present via
-:func:`required_speedup`).
+:func:`required_speedup`; below two cores :func:`skip_reason` says why the
+process gate cannot be measured at all).
 
 **Does failover preserve utility?**  One episode at the largest N is run
 twice — untouched, and with one replica killed mid-episode.  The router
@@ -81,14 +82,32 @@ class ClusterScalingConfig:
     )
 
 
+def skip_reason(config: ClusterScalingConfig) -> Optional[str]:
+    """Why this host cannot gate the process backend's multi-core claim
+    (``None`` when it can).
+
+    Compute-bound ``spin`` work on process replicas can only overlap on
+    cores that exist; on one core any "speedup" measures transport
+    overhead, so a pass would show nothing.
+    """
+    cores = os.cpu_count() or 1
+    compute_bound = config.backend == PROCESS_BACKEND and config.work_kind == WORK_SPIN
+    if compute_bound and cores < 2:
+        return (
+            f"compute-bound process scaling needs >= 2 cores; this host "
+            f"has {cores}"
+        )
+    return None
+
+
 def required_speedup(config: ClusterScalingConfig) -> float:
     """The speedup bar this host can honestly be held to.
 
     ``sleep`` work overlaps regardless of cores, so the configured bar
     applies as-is.  ``spin`` work is compute: the process backend can
     only scale with *physical cores actually present* (the CI gate runs
-    the full ``min_speedup_at_max`` on multi-core runners; a 1-core dev
-    box is capped at no-worse-than-transport-overhead), and the thread
+    the full ``min_speedup_at_max`` on multi-core runners; below two
+    cores the gate is skipped, see :func:`skip_reason`), and the thread
     backend cannot scale it at all — it is the recorded baseline, gated
     only on zero lost requests.
     """
@@ -96,10 +115,7 @@ def required_speedup(config: ClusterScalingConfig) -> float:
     if config.work_kind == WORK_SPIN:
         if config.backend == PROCESS_BACKEND:
             cores = os.cpu_count() or 1
-            return min(
-                config.min_speedup_at_max,
-                max(0.75, 0.75 * min(cores, n_max)),
-            )
+            return min(config.min_speedup_at_max, 0.75 * min(cores, n_max))
         return 0.0
     return config.min_speedup_at_max
 

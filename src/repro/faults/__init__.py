@@ -5,9 +5,9 @@ provides the machinery that lets the test suite prove the serving stack
 keeps its promises when the substrate misbehaves:
 
 - :class:`FaultPlan` / :class:`FaultSpec` — a seeded, deterministic plan
-  of faults (latency spikes, worker crashes/hangs, dropped stage results,
-  corrupted payloads, transient endpoint errors) fired at *named sites*
-  in the runtime, the service endpoints and the client;
+  of faults (latency spikes, hangs, replica crashes, dropped responses,
+  corrupted payloads, transient errors) fired at *named sites* in the
+  runtime, the service endpoints, the cluster replicas and the client;
 - :class:`RetryPolicy` / :class:`CircuitBreaker` — the client-side
   recovery the injections exercise;
 - :func:`install` / :func:`uninstall` / :func:`active` /
@@ -21,7 +21,7 @@ the serving fast path (guarded by ``make bench-fast``) is untouched until a plan
     from repro import faults
 
     plan = faults.FaultPlan(seed=7, specs=[
-        faults.FaultSpec("runtime.worker.stage", faults.CRASH, at=(1,)),
+        faults.FaultSpec("runtime.stage", faults.CORRUPT, at=(1,)),
         faults.FaultSpec("service.classify", faults.ERROR, probability=0.3),
     ])
     with faults.plan_session(plan):

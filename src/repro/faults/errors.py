@@ -27,7 +27,7 @@ class TransientServiceError(InjectedFault):
 
 
 class WorkerCrash(InjectedFault):
-    """A worker thread dies mid-item; the runtime must respawn it."""
+    """A worker dies mid-call (the generic ``crash`` of ``perform``)."""
 
 
 class CorruptedPayload(InjectedFault):

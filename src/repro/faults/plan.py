@@ -20,8 +20,8 @@ catalogue):
 
 ========== ==========================================================
 ``latency``  stall the site for ``latency_s`` seconds, then proceed
-``hang``     stall long enough to look dead (lost-item watchdogs fire)
-``crash``    kill the executing worker (thread exits; runtime respawns)
+``hang``     stall long enough to look dead (call timeouts fire)
+``crash``    kill the executing process (a replica; the router fails over)
 ``drop``     swallow the site's result (nothing is ever reported back)
 ``corrupt``  deliver a mangled payload (NaN confidences) downstream
 ``error``    raise :class:`~repro.faults.errors.TransientServiceError`
@@ -231,6 +231,8 @@ class FaultPlan:
             return
         tel.registry.counter(f"faults.injected.{decision.site}").inc()
         tel.registry.counter(f"faults.injected.kind.{decision.kind}").inc()
-        # Fault events are stamped with the site invocation index, not
-        # episode time — the plan has no episode clock; seq still orders.
-        tel.trace.fault_inject(0.0, decision.site, decision.kind, decision.index)
+        # A plan is process-wide and outlives any one episode, so a fired
+        # fault is stamped from the telemetry session's clock.
+        tel.trace.fault_inject(
+            tel.now(), decision.site, decision.kind, decision.index
+        )

@@ -12,9 +12,9 @@ Components
 - :mod:`repro.scheduler.policies` — RTDeepIoT-k greedy, RR and FIFO baselines
 - :mod:`repro.scheduler.simulator` — deterministic discrete-event worker-pool
   simulator used by the Fig. 4 experiments
-- :mod:`repro.scheduler.runtime` — thread-based real-time executor whose
-  scheduler loop enforces the latency constraint, mirroring the paper's
-  process-pool architecture
+- :mod:`repro.scheduler.runtime` — real-time executor whose one scheduler
+  loop runs the stage batches and enforces the latency constraint (the
+  paper's process pool is the process-replica tier, :mod:`repro.cluster`)
 - :mod:`repro.scheduler.gen2` — the gen-2 imprecise-computation scheduler:
   joint per-task stage budgets by marginal utility per cost, preemption of
   optional stages via tightening-only caps, and the anytime contract

@@ -1,68 +1,66 @@
-"""User-space real-time inference runtime (the paper's process-pool design).
+"""User-space real-time inference runtime (the paper's scheduler loop).
 
 Where :mod:`repro.scheduler.simulator` replays precomputed oracles for
 deterministic experiments, this module actually executes a
-:class:`~repro.nn.resnet.StagedResNet` stage by stage under the scheduler, in
-threads (the Python analogue of the paper's worker-process pool):
+:class:`~repro.nn.resnet.StagedResNet` stage by stage under the scheduler,
+on the thread that calls :meth:`StagedInferenceRuntime.run_until_complete`.
+Every turn of the scheduler loop does four things, in order:
 
-- a pool of worker threads pulls (task, stage) work items from a queue,
-  runs one network stage, and reports ``(prediction, confidence)`` back to
-  the scheduler over a result queue — the role the paper gives to Linux
-  named pipes;
-- the scheduler loop re-plans with the freshest confidences whenever its
-  timeline drains ("restarts again with the most recent utility estimates");
-- the paper's latency-constraint daemon is a role, not a thread: the
-  scheduler loop sweeps for expired tasks every turn and sleeps no longer
-  than the next live deadline; a stage whose result arrives after eviction
-  is discarded, the worker simply "returns to the pool".
+1. sweep for expired tasks (``expire_overdue``);
+2. form one same-stage batch, re-planning only when the timeline is empty
+   ("restarts again with the most recent utility estimates");
+3. run the batch: stem (stage 0 only), stage, softmax;
+4. sweep again — a stage whose task passed its deadline meanwhile is
+   discarded — then apply the results.
+
+The paper runs stages in a pool of worker processes fed over named pipes.
+Here that pool is the process-replica tier (:mod:`repro.cluster`): each
+replica is a process, and inside one replica the stages run on the
+scheduler thread.  Under the GIL, worker threads would add hand-offs but
+no parallelism.  The paper's latency-constraint daemon is a role, not a
+thread: the sweep is the one place a deadline is compared against the
+clock, so a deadline is noticed at most one stage batch late.
 
 Implemented in user space, no OS support needed — the portability argument
 of Section III.
 
 Two inference-fast-path extensions beyond the paper's design:
 
-- **No-grad stage execution.**  Workers run stages through the model's
-  raw-ndarray :meth:`~repro.nn.resnet.StagedResNet.infer_stage` path, so
-  serving never pays autograd-graph construction.
-- **Micro-batching.**  When ``RuntimeConfig.max_batch > 1`` the scheduler
-  coalesces queued (task, stage) items for the *same* stage into one
-  batched stage execution (one BLAS matmul instead of ``B`` small ones) and
-  splits the per-task confidences back out of the batch afterwards.  An
-  optional ``drain_window`` lets an undersized batch briefly wait for more
-  same-stage work while other results are still in flight.  Batches are
-  formed by the same thread that evicts, right after its expiry sweep, so
-  an evicted task can never appear in a newly formed batch.
+- **No-grad stage execution.**  Stages run through the model's raw-ndarray
+  :meth:`~repro.nn.resnet.StagedResNet.infer_stage` path, so serving never
+  pays autograd-graph construction.
+- **Micro-batching.**  When ``RuntimeConfig.max_batch > 1`` one stage
+  execution serves up to ``max_batch`` tasks at the *same* stage (one BLAS
+  matmul instead of ``B`` small ones); the per-task confidences are split
+  back out of the batch afterwards.  Batches are formed right after the
+  expiry sweep, so an evicted task can never appear in one.
 
 Resilience (exercised by :mod:`repro.faults` and ``tests/faults/``):
 
-- **Lost-item watchdog.**  Every dispatched micro-batch is tracked until
-  its result returns; an item outstanding longer than
-  ``RuntimeConfig.item_timeout`` (a crashed/hung worker, a dropped result)
-  is declared lost, its tasks are released back to the scheduler, and a
-  late result for a reaped item is discarded as stale.
-- **Worker respawn.**  A worker thread that dies (the ``crash`` fault
-  kind) is detected and replaced, so pool capacity survives crashes.
 - **Result validation.**  Stage results with non-finite confidences (the
-  ``corrupt`` fault kind) are rejected and re-executed rather than served.
+  ``corrupt`` fault kind) are rejected and their tasks re-run rather than
+  served.
+- **Transient errors.**  An ``error`` fault raises
+  :class:`~repro.faults.TransientServiceError` out of
+  :meth:`~StagedInferenceRuntime.run_until_complete` (and so out of the
+  service's ``infer()``), for the client's retry or the router's failover.
 - **Graceful degradation.**  A task that cannot finish all stages inside
   its budget still reports the best already-computed stage's result,
   flagged via :attr:`RuntimeTaskResult.degraded` / ``served_stage``.
 
-Injection sites: ``runtime.worker.stage`` (all fault kinds) and
-``runtime.dispatch`` (``latency``/``hang`` only — the scheduler thread
-must never die).  Both disarm to one global read + ``None`` check.
+Injection site: ``runtime.stage``, consulted just before each stage batch
+runs (``latency``/``hang`` stall inline, ``corrupt``, ``error``).  It
+disarms to one global read + ``None`` check.  A crashed or hung stage
+process is a replica-level fault (``cluster.replica.call``).
 """
 
 from __future__ import annotations
 
-import itertools
 import math
-import queue
-import threading
 import time
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Deque, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Deque, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -74,28 +72,17 @@ from .gen2 import apply_stage_budgets
 from .policies import SchedulingPolicy
 from .task import StageOutcome, TaskRecord
 
-#: Named injection sites this module consults (see docs/FAULTS.md).
-WORKER_STAGE_SITE = "runtime.worker.stage"
-DISPATCH_SITE = "runtime.dispatch"
+#: Named injection site this module consults (see docs/FAULTS.md).
+STAGE_SITE = "runtime.stage"
 
 
 @dataclass
 class RuntimeConfig:
-    num_workers: int = 2
     #: seconds each task may stay in the system (the latency constraint).
     latency_constraint: float = 5.0
     #: maximum number of same-stage tasks coalesced into one batched stage
-    #: execution (1 = the paper's one-image-per-worker behaviour).
+    #: execution (1 = the paper's one-image-per-stage behaviour).
     max_batch: int = 1
-    #: seconds an undersized batch may be held back waiting for more
-    #: same-stage work while other results are still in flight (0 = never
-    #: wait; dispatch whatever was coalesced immediately).
-    drain_window: float = 0.0
-    #: seconds a dispatched micro-batch may stay outstanding before the
-    #: scheduler declares it lost (crashed/hung worker, dropped result) and
-    #: releases its tasks for re-execution.  Generous by default: a healthy
-    #: pool never trips it, so the disarmed behaviour is unchanged.
-    item_timeout: float = 5.0
     #: admission control / overload management (:mod:`repro.admission`):
     #: bounds the admitted-but-unserved queue, degrading excess tasks to an
     #: early exit and shedding past the hard bound.  ``None`` (default)
@@ -109,21 +96,10 @@ class RuntimeConfig:
     anytime: bool = False
 
     def __post_init__(self) -> None:
-        if self.num_workers < 1:
-            raise ValueError("need at least one worker")
         if self.latency_constraint <= 0:
             raise ValueError("latency constraint must be positive")
         if self.max_batch < 1:
             raise ValueError("max_batch must be >= 1")
-        if self.drain_window < 0:
-            raise ValueError("drain_window must be non-negative")
-        if self.drain_window > 0 and self.max_batch <= 1:
-            raise ValueError(
-                "drain_window > 0 requires max_batch > 1: a single-task "
-                "batch can never grow, so holding it back only adds latency"
-            )
-        if self.item_timeout <= 0:
-            raise ValueError("item_timeout must be positive")
 
 
 @dataclass
@@ -164,43 +140,15 @@ class RuntimeTaskResult:
         return not self.completed and bool(self.outcomes)
 
 
-class _WorkItem:
-    """One unit of worker work: a same-stage micro-batch of tasks."""
-
-    __slots__ = ("item_id", "task_ids", "stage", "features", "needs_stem")
-
-    def __init__(
-        self,
-        item_id: int,
-        task_ids: Tuple[int, ...],
-        stage: int,
-        features: np.ndarray,
-        needs_stem: bool,
-    ) -> None:
-        self.item_id = item_id
-        self.task_ids = task_ids
-        self.stage = stage
-        self.features = features
-        self.needs_stem = needs_stem
-
-
-def _eligible(
-    records: Dict[int, TaskRecord], in_flight: Dict[int, int], tid: int, stage: int
-) -> bool:
+def _eligible(records: Dict[int, TaskRecord], tid: int, stage: int) -> bool:
     """Can (tid, stage) be executed right now?"""
     record = records.get(tid)
-    return (
-        record is not None
-        and not record.done
-        and tid not in in_flight
-        and record.next_stage == stage
-    )
+    return record is not None and not record.done and record.next_stage == stage
 
 
 def form_batch(
     timeline: Deque[tuple],
     records: Dict[int, TaskRecord],
-    in_flight: Dict[int, int],
     max_batch: int,
 ) -> Tuple[List[int], Optional[int], Deque[tuple]]:
     """Pop one same-stage micro-batch off the timeline.
@@ -208,20 +156,21 @@ def form_batch(
     Scans from the front: the first eligible entry fixes the batch's stage;
     further eligible entries for the same stage join it (up to
     ``max_batch``); eligible entries for *other* stages keep their timeline
-    position; stale entries (done, evicted, already executing, or whose
-    stage no longer matches the task's next stage) are dropped, exactly as
-    the unbatched scheduler dropped them.
+    position; stale entries (done, evicted, or whose stage no longer
+    matches the task's next stage) are dropped, exactly as the unbatched
+    scheduler dropped them.
 
     Returns ``(batch_task_ids, stage, remaining_timeline)``.  Only the
-    scheduler thread evicts and only it forms batches, which is what
-    guarantees an evicted task can never appear in a formed batch.
+    scheduler loop evicts and only it forms batches, right after its
+    sweep, which is what guarantees an evicted task can never appear in a
+    formed batch.
     """
     batch: List[int] = []
     stage: Optional[int] = None
     leftovers: Deque[tuple] = deque()
     while timeline:
         tid, st = timeline.popleft()
-        if not _eligible(records, in_flight, tid, st):
+        if not _eligible(records, tid, st):
             continue
         if stage is None:
             stage = st
@@ -237,33 +186,6 @@ def form_batch(
             break
     leftovers.extend(timeline)
     return batch, stage, leftovers
-
-
-def _extract_stage(
-    timeline: Deque[tuple],
-    stage: int,
-    need: int,
-    records: Dict[int, TaskRecord],
-    in_flight: Dict[int, int],
-    exclude: set,
-) -> Tuple[List[int], Deque[tuple]]:
-    """Pull up to ``need`` eligible entries for ``stage`` out of the timeline.
-
-    Used to top up a held-back (drain-window) batch.  Entries for other
-    stages keep their position; stale entries are dropped.
-    """
-    taken: List[int] = []
-    remaining: Deque[tuple] = deque()
-    while timeline:
-        tid, st = timeline.popleft()
-        if not _eligible(records, in_flight, tid, st) or tid in exclude:
-            continue
-        if st == stage and len(taken) < need:
-            taken.append(tid)
-            exclude.add(tid)
-        else:
-            remaining.append((tid, st))
-    return taken, remaining
 
 
 class StagedInferenceRuntime:
@@ -369,13 +291,13 @@ class StagedInferenceRuntime:
 
     # ------------------------------------------------------------------
     def run_until_complete(self) -> List[RuntimeTaskResult]:
-        """Serve every submitted task to completion or eviction."""
-        # No lock: all task state below is read and written by the calling
-        # (scheduler) thread only.  The only objects reachable from both a
-        # worker and the scheduler are ``work_queue``, ``result_queue`` and
-        # the read-only model (the process-wide faults / telemetry sessions
-        # that workers also report to synchronise themselves).
-        if not self._inputs:
+        """Serve every submitted task to completion or eviction.
+
+        Runs entirely on the calling thread and consumes the submitted
+        inputs, also when a stage raises an injected transient error.
+        """
+        inputs, self._inputs = self._inputs, []
+        if not inputs:
             return []
         self.model.eval()
         cfg = self.config
@@ -385,17 +307,15 @@ class StagedInferenceRuntime:
 
         records: Dict[int, TaskRecord] = {}
         features: Dict[int, np.ndarray] = {}
-        work_queue: "queue.Queue[Optional[_WorkItem]]" = queue.Queue()
-        result_queue: "queue.Queue[tuple]" = queue.Queue()
 
         if tel is not None:
             # Pre-create the episode counters so a clean run still exports
             # an explicit zero for misses rather than omitting the series.
-            tel.registry.counter("runtime.tasks_submitted").inc(len(self._inputs))
+            tel.registry.counter("runtime.tasks_submitted").inc(len(inputs))
             tel.registry.counter("runtime.tasks_completed")
             tel.registry.counter("runtime.deadline_misses")
 
-        for tid, x in enumerate(self._inputs):
+        for tid in range(len(inputs)):
             records[tid] = TaskRecord(
                 task_id=tid,
                 arrival_time=0.0,
@@ -403,6 +323,9 @@ class StagedInferenceRuntime:
                 num_stages=self.model.num_stages,
             )
             if tel is not None:
+                # Episode-relative arrival: every task arrives when the
+                # episode starts (``submit`` only queues inputs, and each
+                # deadline counts from the same origin as every later stamp).
                 tel.trace.admit(0.0, tid, deadline=cfg.latency_constraint)
 
         if cfg.admission is not None and cfg.admission.bounded:
@@ -411,54 +334,6 @@ class StagedInferenceRuntime:
             self._apply_admission(
                 records, cfg.admission, tel, now=time.monotonic() - t0
             )
-
-        def worker_loop() -> None:
-            for item in iter(work_queue.get, None):  # ``None`` = shut down
-                decision = faults.inject(WORKER_STAGE_SITE)
-                if decision is not None:
-                    if decision.kind in (faults.LATENCY, faults.HANG):
-                        # A slow (or apparently dead) worker: stall, then
-                        # proceed.  A hang longer than item_timeout means the
-                        # scheduler reaps the item and this result is stale.
-                        time.sleep(decision.latency_s)
-                    elif decision.kind == faults.CRASH:
-                        # The worker process dies mid-item: thread exits
-                        # without reporting; the supervisor respawns it and
-                        # the watchdog requeues the lost item.
-                        return
-                    elif decision.kind in (faults.DROP, faults.ERROR):
-                        # The stage result never reaches the scheduler (lost
-                        # pipe write / transient executor error): swallow the
-                        # item; the watchdog requeues its tasks.
-                        continue
-                start = time.perf_counter()
-                feats = item.features
-                if item.needs_stem:
-                    feats = self.model.infer_stem(feats)
-                new_features, logits = self.model.infer_stage(feats, item.stage)
-                probs = F.softmax_infer(logits, axis=-1)
-                predictions = probs.argmax(axis=-1)
-                confidences = probs.max(axis=-1)
-                if decision is not None and decision.kind == faults.CORRUPT:
-                    confidences = np.full_like(confidences, np.nan)
-                if tel is not None:
-                    elapsed_ms = 1e3 * (time.perf_counter() - start)
-                    tel.registry.histogram(
-                        f"runtime.stage_latency_ms.stage{item.stage}"
-                    ).observe(elapsed_ms)
-                    tel.registry.histogram("runtime.stage_latency_ms.all").observe(
-                        elapsed_ms
-                    )
-                result_queue.put(
-                    (
-                        item.item_id,
-                        item.task_ids,
-                        item.stage,
-                        predictions,
-                        confidences,
-                        new_features,
-                    )
-                )
 
         def expire_overdue(now: float) -> float:
             """The latency-constraint daemon of Section III, as a sweep.
@@ -469,7 +344,7 @@ class StagedInferenceRuntime:
             *served* best-so-far at the deadline (degraded, never late);
             only a task with nothing computed is a deadline miss.  Returns
             the seconds to the next live deadline (``inf`` when no task is
-            live), which bounds the scheduler's wait.
+            live).
             """
             nearest = math.inf
             for record in records.values():
@@ -494,104 +369,23 @@ class StagedInferenceRuntime:
                         tel.trace.evict(now, tid, stages_done=record.stages_done)
             return nearest - now
 
-        workers = [
-            threading.Thread(target=worker_loop, daemon=True)
-            for _ in range(cfg.num_workers)
-        ]
-        for w in workers:
-            w.start()
-
-        in_flight: Dict[int, int] = {}  # task_id -> stage being executed
         timeline: Deque[tuple] = deque()
-        # Undersized batch waiting out the drain window: (tids, stage, t_formed).
-        pending: Optional[Tuple[List[int], int, float]] = None
-        # Dispatched micro-batches awaiting results:
-        # item_id -> (task_ids, stage, dispatch time).  A result whose item
-        # was already reaped by the watchdog is stale and discarded.
-        outstanding: Dict[int, Tuple[Tuple[int, ...], int, float]] = {}
-        item_ids = itertools.count()
-
-        def dispatch(batch: Sequence[int], stage: int, now: float) -> None:
-            """Hand a formed micro-batch to the worker pool."""
-            decision = faults.inject(DISPATCH_SITE)
-            if decision is not None and decision.kind in (faults.LATENCY, faults.HANG):
-                # Only stalls make sense here: the scheduler thread itself
-                # must never crash or drop work.
-                time.sleep(decision.latency_s)
-            tids = tuple(batch)
-            if stage == 0:
-                feats = np.concatenate([self._inputs[tid] for tid in tids], axis=0)
-                needs_stem = True
-            else:
-                feats = np.concatenate([features[tid] for tid in tids], axis=0)
-                needs_stem = False
-            for tid in tids:
-                in_flight[tid] = stage
-            item_id = next(item_ids)
-            outstanding[item_id] = (tids, stage, time.monotonic() - t0)
-            self.batch_log.append((stage, tids))
-            if tel is not None:
-                tel.registry.histogram("runtime.batch_occupancy", lo=0.5).observe(
-                    len(tids)
-                )
-                queue_depth = sum(
-                    1
-                    for r in records.values()
-                    if not r.done and r.task_id not in in_flight
-                )
-                tel.registry.gauge("runtime.queue_depth").set(queue_depth)
-                tel.registry.histogram("runtime.queue_depth", lo=0.5).observe(
-                    queue_depth
-                )
-                tel.trace.stage_dispatch(now, stage, tids)
-            work_queue.put(_WorkItem(item_id, tids, stage, feats, needs_stem))
 
         def next_batch(now: float) -> Tuple[List[int], Optional[int]]:
-            """Form the next micro-batch, replanning as needed.
+            """Form the next single-stage batch with at most one ``plan()``.
 
-            Policies like FIFO and RTDeepIoT-k plan only one task's work at
-            a time, so filling a batch requires replanning with the already
-            batched tasks masked out: each fresh plan contributes its
-            same-stage head items until the batch fills, the policy's next
-            choice is a different stage, or no schedulable tasks remain.
+            Entries come off the timeline first; only when it yields
+            nothing does the policy re-plan (once, gen-2 budgets applied
+            once) and the timeline is read again.  The batch is then topped
+            up from the other eligible tasks at its stage, in task-id order:
+            RTDeepIoT-k plans one task's work at a time, so its timeline
+            alone would end a batch at the first pick at another stage.
             """
             nonlocal timeline
-            batch: List[int] = []
-            stage: Optional[int] = None
-            replans = 0
-            while True:
-                if stage is None:
-                    batch, stage, timeline = form_batch(
-                        timeline, records, in_flight, cfg.max_batch
-                    )
-                    progressed = bool(batch)
-                else:
-                    extra, timeline = _extract_stage(
-                        timeline,
-                        stage,
-                        cfg.max_batch - len(batch),
-                        records,
-                        in_flight,
-                        set(batch),
-                    )
-                    batch.extend(extra)
-                    progressed = bool(extra)
-                if len(batch) >= cfg.max_batch:
-                    break
-                if not progressed and replans > 0:
-                    break
-                if replans >= cfg.max_batch:
-                    break
-                candidates = [
-                    r.view()
-                    for r in records.values()
-                    if not r.done
-                    and r.task_id not in in_flight
-                    and r.task_id not in batch
-                ]
-                if not candidates:
-                    break
-                fresh = self.policy.plan(candidates, now)
+            batch, stage, timeline = form_batch(timeline, records, cfg.max_batch)
+            if not batch:
+                candidates = [r.view() for r in records.values() if not r.done]
+                timeline.extend(self.policy.plan(candidates, now))
                 # Gen-2 preemption: freshly planned budgets tighten stage
                 # caps (no-op for gen-1 policies).  A task revoked down to
                 # its executed frontier is complete as of now.  The runtime
@@ -620,156 +414,102 @@ class StagedInferenceRuntime:
                             tel.trace.complete(
                                 now, ptid, stages_done=revoked.stages_done
                             )
-                if not fresh:
+                batch, stage, timeline = form_batch(
+                    timeline, records, cfg.max_batch
+                )
+            for tid in records:
+                if len(batch) >= cfg.max_batch:
                     break
-                timeline.extend(fresh)
-                replans += 1
+                if tid not in batch and _eligible(records, tid, stage):
+                    batch.append(tid)
             return batch, stage
 
-        def refill(now: float) -> None:
-            """Keep the workers fed; replan when the timeline drains.
-
-            Runs right after ``expire_overdue(now)``: every live record is
-            inside its deadline, so eligibility is all a batch must re-check.
-            """
-            nonlocal timeline, pending
-            while len(outstanding) < cfg.num_workers:
-                if pending is not None:
-                    batch, stage, formed_at = pending
-                    # Re-validate: eviction or completion may have struck
-                    # while the batch waited out the drain window.
-                    batch = [
-                        tid for tid in batch
-                        if _eligible(records, in_flight, tid, stage)
-                    ]
-                    if batch and len(batch) < cfg.max_batch:
-                        extra, timeline = _extract_stage(
-                            timeline,
-                            stage,
-                            cfg.max_batch - len(batch),
-                            records,
-                            in_flight,
-                            set(batch),
-                        )
-                        batch.extend(extra)
-                    if not batch:
-                        pending = None
-                        continue
-                    expired = (now - formed_at) >= cfg.drain_window
-                    if len(batch) >= cfg.max_batch or expired or not outstanding:
-                        pending = None
-                        dispatch(batch, stage, now)
-                        continue
-                    pending = (batch, stage, formed_at)
-                    return
-                batch, stage = next_batch(now)
-                if not batch:
-                    return
-                if len(batch) < cfg.max_batch and cfg.drain_window > 0 and outstanding:
-                    # Hold back: in-flight results may yield same-stage work.
-                    pending = (batch, stage, now)
-                    return
-                dispatch(batch, stage, now)
-
-        def reap_lost_items(now: float) -> None:
-            """Release tasks of items outstanding past the timeout.
-
-            A reaped item's tasks become schedulable again; a late result
-            for it is recognised as stale (its id is gone) and discarded, so
-            no stage can ever be applied twice.
-            """
-            for item_id, (tids, stage, dispatched_at) in list(outstanding.items()):
-                if now - dispatched_at < cfg.item_timeout:
-                    continue
-                del outstanding[item_id]
-                for tid in tids:
-                    in_flight.pop(tid, None)
+        while True:
+            now = time.monotonic() - t0
+            to_deadline = expire_overdue(now)
+            if all(r.done for r in records.values()):
+                break
+            batch, stage = next_batch(now)
+            if not batch:
+                # The policy will run none of the live tasks: all they can
+                # do is wait out their deadlines.
+                time.sleep(to_deadline)
+                continue
+            tids = tuple(batch)
+            self.batch_log.append((stage, tids))
+            if tel is not None:
+                tel.registry.histogram("runtime.batch_occupancy", lo=0.5).observe(
+                    len(tids)
+                )
+                live = sum(1 for r in records.values() if not r.done)
+                queue_depth = live - len(tids)
+                tel.registry.gauge("runtime.queue_depth").set(queue_depth)
+                tel.registry.histogram("runtime.queue_depth", lo=0.5).observe(
+                    queue_depth
+                )
+                tel.trace.stage_dispatch(now, stage, tids)
+            decision = faults.inject(STAGE_SITE)
+            if decision is not None:
+                if decision.kind == faults.ERROR:
+                    raise faults.TransientServiceError(
+                        f"injected transient error at {STAGE_SITE} "
+                        f"(invocation {decision.index})"
+                    )
+                if decision.kind in (faults.LATENCY, faults.HANG):
+                    time.sleep(decision.latency_s)
+            start = time.perf_counter()
+            if stage == 0:
+                feats = self.model.infer_stem(
+                    np.concatenate([inputs[tid] for tid in tids], axis=0)
+                )
+            else:
+                feats = np.concatenate([features[tid] for tid in tids], axis=0)
+            new_features, logits = self.model.infer_stage(feats, stage)
+            probs = F.softmax_infer(logits, axis=-1)
+            predictions = probs.argmax(axis=-1)
+            confidences = probs.max(axis=-1)
+            if decision is not None and decision.kind == faults.CORRUPT:
+                confidences = np.full_like(confidences, np.nan)
+            if tel is not None:
+                elapsed_ms = 1e3 * (time.perf_counter() - start)
+                tel.registry.histogram(
+                    f"runtime.stage_latency_ms.stage{stage}"
+                ).observe(elapsed_ms)
+                tel.registry.histogram("runtime.stage_latency_ms.all").observe(
+                    elapsed_ms
+                )
+            now = time.monotonic() - t0
+            # A stage that finished past its task's deadline is discarded,
+            # as the simulator does: the sweep closes the task first.
+            expire_overdue(now)
+            if not np.all(np.isfinite(confidences)):
+                # Corrupted payload: reject the whole batch; its tasks stay
+                # schedulable and re-run — a NaN confidence must never
+                # reach the policy or a client.
                 if tel is not None:
-                    tel.registry.counter("runtime.items_lost").inc()
+                    tel.registry.counter("runtime.corrupt_results").inc()
                     tel.trace.item_retry(now, stage, tids)
-
-        def respawn_dead_workers(now: float) -> None:
-            """Replace crashed worker threads so pool capacity survives."""
-            for i, w in enumerate(workers):
-                if w.is_alive():
+                continue
+            for i, tid in enumerate(tids):
+                record = records[tid]
+                if record.done:
+                    # Evicted, shed, or already served best-so-far by the
+                    # anytime contract: a late stage result must never be
+                    # appended after the response.
                     continue
-                replacement = threading.Thread(target=worker_loop, daemon=True)
-                workers[i] = replacement
-                replacement.start()
-                if tel is not None:
-                    tel.registry.counter("runtime.worker_respawns").inc()
-                    tel.trace.worker_respawn(now, i)
-
-        try:
-            while True:
-                now = time.monotonic() - t0
-                to_deadline = expire_overdue(now)
-                refill(now)
-                if not outstanding and all(r.done for r in records.values()):
-                    break
-                # Wake on a result, the idle / drain-window tick or the next
-                # live deadline, whichever comes first.
-                wait = min(0.005 if pending is not None else 0.05, to_deadline)
-                try:
-                    item_id, tids, stage, predictions, confidences, new_features = (
-                        result_queue.get(timeout=wait)
+                record.outcomes.append(
+                    StageOutcome(
+                        stage=stage,
+                        prediction=int(predictions[i]),
+                        confidence=float(confidences[i]),
                     )
-                except queue.Empty:
-                    # With a fault plan armed, items may be lost and workers
-                    # dead; the next turn's refill re-issues what this frees.
-                    if faults.active() is not None:
-                        now = time.monotonic() - t0
-                        reap_lost_items(now)
-                        respawn_dead_workers(now)
-                    continue
-                now = time.monotonic() - t0
-                # A stage that finished past its task's deadline is discarded,
-                # as the simulator does: the sweep closes the task first.
-                expire_overdue(now)
-                if outstanding.pop(item_id, None) is None:
-                    # Stale: the watchdog already reaped this item (its tasks
-                    # may even be re-executing).  Discard.
+                )
+                features[tid] = new_features[i : i + 1].copy()
+                if record.complete:
+                    record.finish_time = now
                     if tel is not None:
-                        tel.registry.counter("runtime.stale_results").inc()
-                    continue
-                if not np.all(np.isfinite(confidences)):
-                    # Corrupted payload: reject the whole batch and release
-                    # its tasks for re-execution — a NaN confidence must
-                    # never reach the policy or a client.
-                    for tid in tids:
-                        in_flight.pop(tid, None)
-                    if tel is not None:
-                        tel.registry.counter("runtime.corrupt_results").inc()
-                        tel.trace.item_retry(now, stage, tids)
-                    continue
-                for i, tid in enumerate(tids):
-                    in_flight.pop(tid, None)
-                    record = records[tid]
-                    if record.done:
-                        # Evicted, shed, or already served best-so-far by the
-                        # anytime contract: a late stage result must never
-                        # be appended after the response.
-                        continue
-                    record.outcomes.append(
-                        StageOutcome(
-                            stage=stage,
-                            prediction=int(predictions[i]),
-                            confidence=float(confidences[i]),
-                        )
-                    )
-                    features[tid] = new_features[i : i + 1].copy()
-                    if record.complete:
-                        record.finish_time = now
-                        if tel is not None:
-                            tel.registry.counter("runtime.tasks_completed").inc()
-                            tel.trace.complete(
-                                now, tid, stages_done=record.stages_done
-                            )
-        finally:
-            for _ in workers:
-                work_queue.put(None)
-            for w in workers:
-                w.join(timeout=1.0)
+                        tel.registry.counter("runtime.tasks_completed").inc()
+                        tel.trace.complete(now, tid, stages_done=record.stages_done)
 
         results = []
         for tid in sorted(records):
@@ -788,5 +528,4 @@ class StagedInferenceRuntime:
                     anytime_served=record.anytime_served,
                 )
             )
-        self._inputs = []
         return results

@@ -292,11 +292,14 @@ class InferRequest:
     inputs: np.ndarray
     latency_constraint_s: float = 10.0
     lookahead: int = 1
+    #: accepted and validated for wire compatibility, then ignored: stages
+    #: run on the replica's scheduler thread, there is no worker pool.
     num_workers: int = 2
     #: same-stage tasks coalesced into one batched stage execution
     #: (1 = the unbatched per-image behaviour).
     max_batch: int = 1
-    #: seconds an undersized batch may wait for more same-stage work.
+    #: accepted and validated for wire compatibility, then ignored: with
+    #: nothing in flight while a batch forms, waiting could gain nothing.
     drain_window_s: float = 0.0
     #: per-request overload management (:mod:`repro.admission`): bounds the
     #: in-runtime queue, shedding or degrading the lowest-expected-utility

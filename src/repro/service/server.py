@@ -547,14 +547,8 @@ class EugeneService:
             entry.model,
             policy,
             RuntimeConfig(
-                num_workers=request.num_workers,
                 latency_constraint=request.latency_constraint_s,
                 max_batch=request.max_batch,
-                drain_window=request.drain_window_s,
-                # An item outstanding past the deadline can never help its
-                # tasks, so lost-item detection need not wait longer than
-                # the constraint — this bounds quiesce time under faults.
-                item_timeout=min(5.0, request.latency_constraint_s),
                 admission=request.admission,
                 anytime=request.anytime,
             ),

@@ -58,7 +58,6 @@ from .trace import (
     STAGE_DISPATCH,
     TraceEvent,
     TraceLog,
-    WORKER_RESPAWN,
 )
 
 
@@ -68,10 +67,17 @@ class Telemetry:
     def __init__(self, trace_capacity: int = 10000) -> None:
         self.registry = MetricsRegistry()
         self.trace = TraceLog(capacity=trace_capacity)
+        self._t0 = time.monotonic()
+
+    def now(self) -> float:
+        """Seconds since the session started (or was last reset) — the
+        clock for events that belong to no single episode."""
+        return time.monotonic() - self._t0
 
     def reset(self) -> None:
         self.registry.reset()
         self.trace.clear()
+        self._t0 = time.monotonic()
 
 
 #: The module-global session; ``None`` means telemetry is off.  Hot paths
@@ -182,7 +188,6 @@ __all__ = [
     "EVICT",
     "DEADLINE_MISS",
     "FAULT_INJECT",
-    "WORKER_RESPAWN",
     "ITEM_RETRY",
     "RETRY",
     "DEGRADED",

@@ -28,7 +28,6 @@ EVICT = "evict"
 DEADLINE_MISS = "deadline-miss"
 #: Fault-injection and recovery transitions (see :mod:`repro.faults`).
 FAULT_INJECT = "fault-inject"
-WORKER_RESPAWN = "worker-respawn"
 ITEM_RETRY = "item-retry"
 RETRY = "retry"
 DEGRADED = "degraded"
@@ -49,7 +48,6 @@ EVENT_KINDS = frozenset(
         EVICT,
         DEADLINE_MISS,
         FAULT_INJECT,
-        WORKER_RESPAWN,
         ITEM_RETRY,
         RETRY,
         DEGRADED,
@@ -167,19 +165,14 @@ class TraceLog:
 
     # -- fault-injection / recovery transitions ------------------------
     def fault_inject(self, t: float, site: str, kind: str, index: int) -> TraceEvent:
-        """A fault fired at ``site``; ``t`` is the site invocation index."""
+        """A fault fired at ``site`` (its invocation index in ``detail``)."""
         return self.record(
             FAULT_INJECT, t, label=f"{site}:{kind}",
             detail={"invocation": float(index)},
         )
 
-    def worker_respawn(self, t: float, worker: int) -> TraceEvent:
-        return self.record(
-            WORKER_RESPAWN, t, detail={"worker": float(worker)}
-        )
-
     def item_retry(self, t: float, stage: int, task_ids: Tuple[int, ...]) -> TraceEvent:
-        """A dispatched micro-batch was declared lost and requeued."""
+        """A stage batch's results were rejected; its tasks re-run."""
         return self.record(
             ITEM_RETRY, t, stage=stage, task_ids=tuple(task_ids),
             detail={"batch_size": float(len(task_ids))},

@@ -151,8 +151,7 @@ class ClusterDriver:
         client.label(xs[:4], ys[:4], xs[4:], num_classes=3,
                      method="self-training", rounds=1)
         reduced = client.reduce(models["staged"], width_fraction=0.5, epochs=1)
-        client.infer(models["staged"], x1, latency_constraint_s=10.0,
-                     num_workers=1)
+        client.infer(models["staged"], x1, latency_constraint_s=10.0)
         ds = client.train_deepsense(
             rng.normal(size=(8, 2, 3, 4)), rng.integers(0, 2, size=8), steps=2
         )
@@ -290,7 +289,7 @@ class ClusterDriver:
                 call(tenant, lambda: client.profile(staged))
             elif endpoint == "infer":
                 call(tenant, lambda: client.infer(
-                    staged, x1, latency_constraint_s=10.0, num_workers=1
+                    staged, x1, latency_constraint_s=10.0
                 ))
             elif endpoint == "calibrate":
                 call(tenant, lambda: client.calibrate(staged, xs, ys, epochs=1))

@@ -16,6 +16,9 @@ The contracts pinned here are the cluster tier's whole reason to exist:
   never silently dropped).
 - **Re-replication** — after an ejection every placed model is restored
   to the replication factor on survivors, each holding a live copy.
+- **Hung replica** — a call that outlives ``call_timeout_s`` (a stage
+  stuck inside the replica) fails over to another holder, and the hung
+  replica's breaker and health record the failure.
 """
 
 import threading
@@ -31,7 +34,8 @@ from repro.cluster import (
     make_cluster,
 )
 from repro.faults import FaultPlan, FaultSpec, RetryPolicy
-from repro.service import ClassifyRequest, EugeneClient
+from repro.scheduler.runtime import STAGE_SITE
+from repro.service import ClassifyRequest, EugeneClient, InferRequest
 
 from .conftest import TINY
 
@@ -240,3 +244,32 @@ class TestPartition:
             with faults.plan_session(plan):
                 router.tick()
             assert router.ejected() == []
+
+
+class TestCallTimeoutFailover:
+    def test_hung_holder_times_out_and_fails_over(self, tiny_model):
+        model, dataset, predictor = tiny_model
+        config = RouterConfig(replication_factor=2, call_timeout_s=0.5)
+        # The first stage batch of the first infer — on whichever holder
+        # the router offers it to first — stalls far past the call budget.
+        plan = FaultPlan(
+            seed=0,
+            specs=[FaultSpec(STAGE_SITE, faults.HANG, at=(0,), latency_s=1.5)],
+        )
+        with make_cluster(2, config=config) as router:
+            gid = router.register_model(
+                "hang", model, train_set=dataset, predictor=predictor
+            )
+            with faults.plan_session(plan):
+                response = router.infer(
+                    InferRequest(model_id=gid, inputs=dataset.inputs[:2])
+                )
+            assert response.stages_executed == [model.num_stages] * 2
+            assert router.metrics.counter("router.failovers").value >= 1
+            hung = [
+                rid for rid, h in router.health.items() if h.error_ewma > 0
+            ]
+            assert len(hung) == 1
+            assert router._breakers[hung[0]]._consecutive_failures == 1
+            (healthy,) = set(router.replicas) - set(hung)
+            assert router._breakers[healthy]._consecutive_failures == 0

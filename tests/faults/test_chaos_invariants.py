@@ -1,14 +1,16 @@
 """Full-stack chaos acceptance suite: client -> service -> runtime.
 
-A seeded fault plan injects crashes and latency at sites spanning the
-runtime workers, the dispatch path, the service endpoints, and the client
-transport, then a scripted workload asserts the resilience contract:
+A seeded fault plan injects stalls, corrupt results and transient errors
+at sites spanning the runtime's stage execution, the service endpoints
+and the client transport, then a scripted workload asserts the
+resilience contract:
 
 - no unhandled (non-``ResilienceError``) exception ever reaches a caller;
 - no expired task is served — a result past its latency constraint is
   discarded, never applied;
 - every degraded response is flagged, with the stage it was served from;
 - retries are bounded by the policy, exactly;
+- a corrupt stage batch is re-run, never served;
 - the runtime always quiesces (every workload here terminates);
 - two runs from the same seed produce byte-identical fault logs.
 """
@@ -60,22 +62,22 @@ def stack():
 
 
 def chaos_plan(seed):
-    """Crashes + latency at sites across all four layers of the stack.
+    """Corruption, stalls and errors across all three layers of the stack.
 
     Every spec is *scheduled* (``at=``), not probabilistic, so the set of
     fired faults — and therefore the fault log — is a pure function of the
-    seed and the per-site invocation counters, immune to thread timing.
+    seed and the per-site invocation counters.  The first infer attempt
+    fails at the endpoint; the second runs stage batch 0, has batch 1's
+    result corrupted (its tasks re-run in batch 2), then fails at batch 3
+    with a transient error; the third is served.
     """
     return FaultPlan(
         seed=seed,
         specs=[
-            FaultSpec("runtime.worker.stage", faults.CRASH, at=(1,)),
+            FaultSpec("runtime.stage", faults.CORRUPT, at=(1,)),
+            FaultSpec("runtime.stage", faults.ERROR, at=(3,)),
             FaultSpec(
-                "runtime.worker.stage", faults.LATENCY,
-                at=(3, 5), latency_s=0.005,
-            ),
-            FaultSpec(
-                "runtime.dispatch", faults.LATENCY, at=(0, 2), latency_s=0.003
+                "runtime.stage", faults.LATENCY, at=(5, 7), latency_s=0.005
             ),
             FaultSpec("service.infer", faults.ERROR, at=(0,)),
             FaultSpec("client.classify", faults.ERROR, at=(1,)),
@@ -104,9 +106,7 @@ def run_workload(stack, seed):
                         model_id,
                         inputs[:8],
                         latency_constraint_s=CONSTRAINT_S,
-                        num_workers=2,
                         max_batch=4,
-                        drain_window_s=0.002,
                     )
                 )
             except faults.ResilienceError:
@@ -136,7 +136,7 @@ class TestNoUnhandledExceptions:
 
     def test_workload_quiesced_with_responses(self, workload):
         # Reaching this assertion at all IS the quiescence check: the
-        # runtime drained every episode despite a crashed worker.
+        # runtime drained every episode despite a failed stage.
         _, responses, _, typed_failures, _ = workload
         assert len(responses) + typed_failures >= EPISODES
         assert responses, "every single infer failed — resilience is broken"
@@ -174,12 +174,13 @@ class TestDegradedFlagging:
 class TestRetriesBounded:
     def test_faulted_endpoints_retried_exactly_once_each(self, workload):
         plan, _, _, _, counters = workload
-        # service.infer: ERROR at invocation 0, clean after -> one retry on
-        # episode 1, none later.  client.classify: ERROR at invocation 1 ->
-        # one retry on episode 2.  Exactly EPISODES+1 invocations each.
-        assert plan.invocations("service.infer") == EPISODES + 1
+        # Each injected error costs exactly one retry.  infer: the endpoint
+        # ERROR and the runtime.stage ERROR both fail episode 1's attempts
+        # -> EPISODES+2 invocations.  client.classify: ERROR at invocation
+        # 1 -> one retry on episode 2, EPISODES+1 invocations.
+        assert plan.invocations("service.infer") == EPISODES + 2
         assert plan.invocations("client.classify") == EPISODES + 1
-        assert counters["client.retries.infer"] == 1
+        assert counters["client.retries.infer"] == 2
         assert counters["client.retries.classify"] == 1
 
     def test_no_site_exceeds_the_attempt_budget(self, workload):
@@ -189,16 +190,21 @@ class TestRetriesBounded:
 
 
 class TestRecoveryHappened:
-    def test_crashed_worker_was_respawned(self, workload):
-        _, _, _, _, counters = workload
-        assert counters.get("runtime.worker_respawns", 0) >= 1
-        assert counters.get("runtime.items_lost", 0) >= 1
+    def test_corrupt_batch_was_rerun_and_never_served(self, workload):
+        _, responses, _, _, counters = workload
+        assert counters.get("runtime.corrupt_results", 0) == 1
+        for response in responses:
+            for confidence in response.confidences:
+                assert confidence is None or np.isfinite(confidence)
+        # The corrupt batch's tasks still got every stage: it was re-run.
+        assert all(
+            stages == 2 for r in responses for stages in r.stages_executed
+        )
 
     def test_every_scheduled_fault_fired(self, workload):
         plan, _, _, _, _ = workload
         assert plan.log.counts() == {
-            "runtime.worker.stage": 3,
-            "runtime.dispatch": 2,
+            "runtime.stage": 4,
             "service.infer": 1,
             "client.classify": 1,
         }
@@ -213,12 +219,12 @@ class TestSeededReproducibility:
         log_b = second.log.export_text()
         assert log_a == log_b
         assert log_a.encode("utf-8") == log_b.encode("utf-8")
-        assert len(log_a.splitlines()) == 7  # every scheduled index, once
+        assert len(log_a.splitlines()) == 6  # every scheduled index, once
 
 
 class TestNoExpiredTaskServed:
     def test_completed_tasks_fit_the_constraint_exactly(self):
-        # Straight at the runtime: under crash + latency chaos, any task
+        # Straight at the runtime: under corrupt + latency chaos, any task
         # reported completed must have finished inside its constraint; an
         # evicted task is never reported completed.
         model = StagedResNet(
@@ -231,17 +237,15 @@ class TestNoExpiredTaskServed:
         runtime = StagedInferenceRuntime(
             model,
             FIFOPolicy(),
-            RuntimeConfig(
-                num_workers=2, latency_constraint=constraint, item_timeout=0.1
-            ),
+            RuntimeConfig(latency_constraint=constraint),
         )
         runtime.submit(np.random.default_rng(0).normal(size=(8, 1, 8, 8)))
         plan = FaultPlan(
             seed=5,
             specs=[
-                FaultSpec("runtime.worker.stage", faults.CRASH, probability=0.15),
+                FaultSpec("runtime.stage", faults.CORRUPT, probability=0.15),
                 FaultSpec(
-                    "runtime.worker.stage", faults.LATENCY,
+                    "runtime.stage", faults.LATENCY,
                     probability=0.3, latency_s=0.01,
                 ),
             ],

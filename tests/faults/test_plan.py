@@ -260,6 +260,23 @@ class TestTelemetryIntegration:
             assert events[0].label == "site.x:crash"
             assert events[0].detail["invocation"] == 0.0
 
+    def test_fault_events_stamped_from_the_session_clock(self):
+        # A plan outlives any one episode, so a fired fault carries the
+        # telemetry session's time, not a placeholder 0.0.
+        plan = FaultPlan(
+            seed=0, specs=[FaultSpec("site.x", faults.LATENCY, at=(0, 1),
+                                     latency_s=0.0)]
+        )
+        with telemetry.session() as tel:
+            before = tel.now()
+            plan.decide("site.x")
+            plan.decide("site.x")
+            after = tel.now()
+            stamps = [e.t for e in tel.trace.events(telemetry.FAULT_INJECT)]
+        assert 0.0 < before <= stamps[0] <= stamps[1] <= after
+        tel.reset()
+        assert tel.now() < after
+
     def test_no_telemetry_no_error(self):
         plan = FaultPlan(seed=0, specs=[FaultSpec("s", faults.ERROR, at=(0,))])
         assert plan.decide("s") is not None  # must not blow up untelemetered

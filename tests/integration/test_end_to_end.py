@@ -88,12 +88,12 @@ class TestStagedPipelineCoherence:
 
 class TestSimulatorMatchesRuntime:
     def test_oracle_replay_equals_live_execution(self, pipeline):
-        """The DES oracle path and the thread runtime agree on outcomes when
+        """The DES oracle path and the live runtime agree on outcomes when
         nothing is evicted: same predictions, same confidences."""
         model, _, test_set, _, test_outputs, predictor = pipeline
         inputs = test_set.inputs[:6]
         runtime = StagedInferenceRuntime(
-            model, FIFOPolicy(), RuntimeConfig(num_workers=1, latency_constraint=60.0)
+            model, FIFOPolicy(), RuntimeConfig(latency_constraint=60.0)
         )
         runtime.submit(inputs)
         live = runtime.run_until_complete()
@@ -146,7 +146,6 @@ class TestServiceFacadeCoherence:
                 model_id=response.model_id,
                 inputs=test_set.inputs[:10],
                 latency_constraint_s=0.25,
-                num_workers=2,
             )
         )
         assert len(out.predictions) == 10

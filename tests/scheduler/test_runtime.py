@@ -1,4 +1,4 @@
-"""Tests for the thread-based real-time inference runtime."""
+"""Tests for the real-time staged inference runtime."""
 
 import numpy as np
 import pytest
@@ -36,7 +36,7 @@ def served_model():
 class TestRuntimeConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
-            RuntimeConfig(num_workers=0)
+            RuntimeConfig(max_batch=0)
         with pytest.raises(ValueError):
             RuntimeConfig(latency_constraint=0.0)
 
@@ -47,7 +47,7 @@ class TestStagedInferenceRuntime:
         runtime = StagedInferenceRuntime(
             model,
             RTDeepIoTPolicy(predictor, k=1),
-            RuntimeConfig(num_workers=2, latency_constraint=60.0),
+            RuntimeConfig(latency_constraint=60.0),
         )
         ids = runtime.submit(test_set.inputs[:6])
         results = runtime.run_until_complete()
@@ -62,7 +62,7 @@ class TestStagedInferenceRuntime:
         """Stage outputs produced by the runtime equal a direct forward pass."""
         model, predictor, test_set = served_model
         runtime = StagedInferenceRuntime(
-            model, FIFOPolicy(), RuntimeConfig(num_workers=1, latency_constraint=60.0)
+            model, FIFOPolicy(), RuntimeConfig(latency_constraint=60.0)
         )
         runtime.submit(test_set.inputs[:3])
         results = runtime.run_until_complete()
@@ -78,7 +78,7 @@ class TestStagedInferenceRuntime:
         runtime = StagedInferenceRuntime(
             model,
             RoundRobinPolicy(),
-            RuntimeConfig(num_workers=1, latency_constraint=0.002),
+            RuntimeConfig(latency_constraint=0.002),
         )
         runtime.submit(test_set.inputs[:12])
         results = runtime.run_until_complete()

@@ -20,15 +20,11 @@ def inputs():
     return make_image_dataset(6, cfg, seed=9).inputs
 
 
-def make_runtime(admission=None, num_workers=2):
+def make_runtime(admission=None):
     return StagedInferenceRuntime(
         StagedResNet(TINY),
         FIFOPolicy(),
-        RuntimeConfig(
-            num_workers=num_workers,
-            latency_constraint=60.0,
-            admission=admission,
-        ),
+        RuntimeConfig(latency_constraint=60.0, admission=admission),
     )
 
 

@@ -30,7 +30,7 @@ def small_model():
 
 class TestRuntimeAnytime:
     def test_partial_work_is_served_not_evicted(self, small_model):
-        # Round-robin breadth-first on one worker: many tasks hold exactly
+        # Round-robin breadth-first: many tasks hold exactly
         # one of two stages when the constraint expires.
         inputs = np.random.default_rng(1).normal(size=(96, 3, 16, 16))
         constraint = 0.02
@@ -38,11 +38,7 @@ class TestRuntimeAnytime:
             runtime = StagedInferenceRuntime(
                 small_model,
                 RoundRobinPolicy(),
-                RuntimeConfig(
-                    num_workers=1,
-                    latency_constraint=constraint,
-                    anytime=True,
-                ),
+                RuntimeConfig(latency_constraint=constraint, anytime=True),
             )
             runtime.submit(inputs)
             results = runtime.run_until_complete()
@@ -80,7 +76,7 @@ class TestRuntimeAnytime:
         runtime = StagedInferenceRuntime(
             small_model,
             RoundRobinPolicy(),
-            RuntimeConfig(num_workers=1, latency_constraint=0.02, anytime=False),
+            RuntimeConfig(latency_constraint=0.02, anytime=False),
         )
         runtime.submit(inputs)
         results = runtime.run_until_complete()
@@ -92,7 +88,7 @@ class TestRuntimeAnytime:
         runtime = StagedInferenceRuntime(
             small_model,
             RoundRobinPolicy(),
-            RuntimeConfig(num_workers=2, latency_constraint=60.0, anytime=True),
+            RuntimeConfig(latency_constraint=60.0, anytime=True),
         )
         runtime.submit(inputs)
         results = runtime.run_until_complete()

@@ -12,8 +12,13 @@ Three bugs, each with a test that failed before its fix:
    preemption pass could silently *raise* a previously assigned lower cap.
    It is now a tightening-only property (``min(old, new)`` enforced in one
    place on ``TaskRecord``).
+
+One ``t=0.0`` stamp is correct and pinned as such: the runtime's ``admit``
+events, because every task of a ``run_until_complete`` episode arrives
+when the episode starts.
 """
 
+import numpy as np
 import pytest
 
 from repro import telemetry
@@ -21,7 +26,7 @@ from repro.admission import AdmissionConfig
 from repro.nn import StagedResNet, StagedResNetConfig
 from repro.scheduler import FIFOPolicy, RuntimeConfig, StagedInferenceRuntime
 from repro.scheduler.task import StageOutcome, TaskRecord
-from repro.telemetry.trace import DEGRADE_CAP, LOAD_SHED
+from repro.telemetry.trace import ADMIT, COMPLETE, DEGRADE_CAP, LOAD_SHED
 
 TINY = StagedResNetConfig(
     num_classes=4, image_size=8, stage_channels=(4, 8), blocks_per_stage=1, seed=0
@@ -127,6 +132,22 @@ class TestDegradeTracesStampedAtDecisionTime:
             assert len(events) == 2
             for event in events:
                 assert event.t == 1.25
+
+
+class TestAdmitStampedAtEpisodeStart:
+    def test_every_task_arrives_at_the_episode_origin(self):
+        runtime = make_runtime(admission=None)
+        runtime.submit(np.random.default_rng(0).normal(size=(4, 3, 8, 8)))
+        with telemetry.session() as t:
+            results = runtime.run_until_complete()
+            admits = t.trace.events(ADMIT)
+            completes = {e.task_id: e.t for e in t.trace.events(COMPLETE)}
+        # Arrival 0.0 and deadline = constraint share one origin with
+        # every later stamp: a completion's stamp is the task's elapsed.
+        assert [(e.task_id, e.t) for e in admits] == [(i, 0.0) for i in range(4)]
+        assert all(e.detail["deadline"] == 60.0 for e in admits)
+        assert completes == {r.task_id: r.elapsed for r in results}
+        assert all(0.0 < r.elapsed for r in results)
 
 
 class TestStageCapTighteningOnly:

@@ -96,7 +96,7 @@ def exercise_all_endpoints(client, rng):
     client.profile("m1")
     client.calibrate("m1", xs, ys, epochs=1)
     client.estimate("m1", rng.normal(size=(2, 3)))
-    client.infer("m1", x1, latency_constraint_s=10.0, num_workers=1)
+    client.infer("m1", x1, latency_constraint_s=10.0)
     client.delete("m1")
 
 

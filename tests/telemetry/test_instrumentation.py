@@ -34,7 +34,7 @@ def _run(model, inputs, **config):
     runtime = StagedInferenceRuntime(
         model,
         RoundRobinPolicy(),
-        RuntimeConfig(num_workers=2, latency_constraint=60.0, **config),
+        RuntimeConfig(latency_constraint=60.0, **config),
     )
     runtime.submit(inputs)
     return runtime.run_until_complete()
@@ -49,7 +49,7 @@ class TestRuntimeTelemetry:
 
     def test_counters_and_stage_latency(self, small_model, inputs):
         with telemetry.session() as t:
-            results = _run(small_model, inputs, max_batch=3, drain_window=0.01)
+            results = _run(small_model, inputs, max_batch=3)
             counters = t.registry.counters()
             assert counters["runtime.tasks_submitted"] == len(inputs)
             assert counters["runtime.tasks_completed"] == len(inputs)
