@@ -22,7 +22,10 @@ runnable queue**:
   optional stages**: an in-progress task whose remaining optional stages
   lost the capacity auction has its ``stage_cap`` tightened (the cap is
   tightening-only, enforced by :class:`~repro.scheduler.task.TaskRecord`) —
-  the mandatory prefix and already-executed stages are never revoked.
+  the mandatory prefix and already-executed stages are never revoked;
+- :func:`replan` is the one re-planning pass both serving loops call:
+  ``plan()``, then the budgets as caps, then completion of every task
+  revoked down to what it already ran.
 
 Together with the anytime contract (``SimulationConfig.anytime`` /
 ``RuntimeConfig.anytime`` / ``InferRequest.anytime``: respond best-so-far
@@ -40,7 +43,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from ..admission.shedding import reachable_stage
 from .confidence import ConfidencePredictor
 from .policies import PlanItem, SchedulingPolicy
-from .task import TaskView
+from .task import TaskRecord, TaskView, finish
 
 _EPS = 1e-9
 
@@ -321,7 +324,7 @@ class Gen2Policy(SchedulingPolicy):
 
 def apply_stage_budgets(
     policy: SchedulingPolicy,
-    records: Dict[int, "object"],
+    records: Dict[int, TaskRecord],
     now: float,
     tel=None,
     scope: str = "scheduler",
@@ -365,3 +368,34 @@ def apply_stage_budgets(
             tel.registry.counter(f"{scope}.stages_preempted").inc()
             tel.trace.degrade_cap(now, tid, stage_cap=budget)
     return preempted
+
+
+def replan(
+    policy: SchedulingPolicy,
+    records: Dict[int, TaskRecord],
+    views: Sequence[TaskView],
+    now: float,
+    tel,
+    scope: str,
+    contended: Optional[bool] = None,
+) -> Tuple[List[PlanItem], List[int]]:
+    """The re-planning pass the simulator and the runtime share.
+
+    ``plan()`` over the live ``views``, the fresh budgets as stage caps
+    (:func:`apply_stage_budgets`), then :func:`~repro.scheduler.task.finish`
+    for every task revoked down to what it already ran.  Returns the
+    timeline and the ids so finished.  ``contended`` differs by caller on
+    purpose: the simulator passes whether its ingress queue is non-empty;
+    ``None`` (the runtime, which has no queue) reads the plan's own
+    capacity deficit after ``plan()``.
+    """
+    order = policy.plan(views, now)
+    if contended is None:
+        last_plan = getattr(policy, "last_plan", None)
+        contended = bool(getattr(last_plan, "contended", True))
+    finished: List[int] = []
+    for tid in apply_stage_budgets(policy, records, now, tel, scope, contended):
+        if records[tid].complete:
+            finish(records[tid], now, tel, scope)
+            finished.append(tid)
+    return order, finished

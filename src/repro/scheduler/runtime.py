@@ -13,6 +13,14 @@ Every turn of the scheduler loop does four things, in order:
 4. sweep again — a stage whose task passed its deadline meanwhile is
    discarded — then apply the results.
 
+The task lifecycle is not this module's: every overdue task goes to the
+shared :func:`~repro.scheduler.task.expire`, every completed one to
+:func:`~repro.scheduler.task.finish`, admission overload to
+:func:`~repro.scheduler.task.shed` / :func:`~repro.scheduler.task.degrade`,
+and re-planning to :func:`~repro.scheduler.gen2.replan` — the same calls
+:mod:`repro.scheduler.simulator` makes.  What stays here is what differs:
+batch formation and the sweep's time to the nearest live deadline.
+
 The paper runs stages in a pool of worker processes fed over named pipes.
 Here that pool is the process-replica tier (:mod:`repro.cluster`): each
 replica is a process, and inside one replica the stages run on the
@@ -68,9 +76,9 @@ from .. import faults, telemetry
 from ..admission import AdmissionConfig, expected_utility, select_shed
 from ..nn import functional as F
 from ..nn.resnet import StagedResNet
-from .gen2 import apply_stage_budgets
+from .gen2 import replan
 from .policies import SchedulingPolicy
-from .task import StageOutcome, TaskRecord
+from .task import StageOutcome, TaskRecord, degrade, expire, finish, shed
 
 #: Named injection site this module consults (see docs/FAULTS.md).
 STAGE_SITE = "runtime.stage"
@@ -109,6 +117,8 @@ class RuntimeTaskResult:
     task_id: int
     outcomes: List[StageOutcome]
     evicted: bool
+    #: seconds from the episode start to the task's terminal state; 0.0
+    #: for a shed task, which received no service.
     elapsed: float
     #: all stages ran inside the budget (the non-degraded happy path).
     completed: bool = False
@@ -253,19 +263,10 @@ class StagedInferenceRuntime:
                 policy=admission.shed_policy,
             )
             for tid in to_shed:
-                record = records[tid]
-                record.shed = True
-                record.finish_time = now
-                if tel is not None:
-                    tel.registry.counter("runtime.tasks_shed").inc()
-                    tel.trace.load_shed(
-                        now,
-                        tid,
-                        expected_utility=expected_utility(
-                            views[tid], predictor, now=now,
-                            stage_time_s=stage_time_s,
-                        ),
-                    )
+                utility = expected_utility(
+                    views[tid], predictor, now=now, stage_time_s=stage_time_s
+                )
+                shed(records[tid], now, utility, tel, "runtime")
             live = [r for r in live if not r.shed]
         degrade_depth = admission.degrade_queue_depth
         if degrade_depth is not None and len(live) > degrade_depth:
@@ -282,12 +283,7 @@ class StagedInferenceRuntime:
                 policy=admission.shed_policy,
             )
             for tid in to_degrade:
-                records[tid].stage_cap = admission.degrade_stage_cap
-                if tel is not None:
-                    tel.registry.counter("runtime.tasks_degraded").inc()
-                    tel.trace.degrade_cap(
-                        now, tid, stage_cap=admission.degrade_stage_cap
-                    )
+                degrade(records[tid], admission.degrade_stage_cap, now, tel, "runtime")
 
     # ------------------------------------------------------------------
     def run_until_complete(self) -> List[RuntimeTaskResult]:
@@ -339,34 +335,19 @@ class StagedInferenceRuntime:
             """The latency-constraint daemon of Section III, as a sweep.
 
             Closes every live task whose deadline has passed — the one place
-            a deadline is compared against the clock for eviction.  Under
-            the anytime contract a task holding at least one stage result is
-            *served* best-so-far at the deadline (degraded, never late);
-            only a task with nothing computed is a deadline miss.  Returns
-            the seconds to the next live deadline (``inf`` when no task is
-            live).
+            a deadline is compared against the clock — through the shared
+            :func:`expire` (served best-so-far under the anytime contract,
+            else evicted).  Returns the seconds to the next live deadline
+            (``inf`` when no task is live).
             """
             nearest = math.inf
             for record in records.values():
                 if record.done:
                     continue
-                tid = record.task_id
                 if now <= record.deadline:
                     nearest = min(nearest, record.deadline)
-                elif cfg.anytime and record.outcomes:
-                    record.finalize_anytime(now)
-                    if tel is not None:
-                        tel.registry.counter("runtime.anytime_served").inc()
-                        tel.trace.degraded(
-                            record.finish_time, tid, record.outcomes[-1].stage
-                        )
                 else:
-                    record.evicted = True
-                    record.finish_time = now
-                    if tel is not None:
-                        tel.registry.counter("runtime.deadline_misses").inc()
-                        tel.trace.deadline_miss(now, tid, deadline=record.deadline)
-                        tel.trace.evict(now, tid, stages_done=record.stages_done)
+                    expire(record, now, cfg.anytime, tel, "runtime")
             return nearest - now
 
         timeline: Deque[tuple] = deque()
@@ -375,45 +356,22 @@ class StagedInferenceRuntime:
             """Form the next single-stage batch with at most one ``plan()``.
 
             Entries come off the timeline first; only when it yields
-            nothing does the policy re-plan (once, gen-2 budgets applied
-            once) and the timeline is read again.  The batch is then topped
-            up from the other eligible tasks at its stage, in task-id order:
-            RTDeepIoT-k plans one task's work at a time, so its timeline
-            alone would end a batch at the first pick at another stage.
+            nothing does the policy re-plan (one shared :func:`replan`;
+            with no admission queue here, "contended" is the plan's own
+            capacity deficit) and the timeline is read again.  The batch is
+            then topped up from the other eligible tasks at its stage, in
+            task-id order: RTDeepIoT-k plans one task's work at a time, so
+            its timeline alone would end a batch at the first pick at
+            another stage.
             """
             nonlocal timeline
             batch, stage, timeline = form_batch(timeline, records, cfg.max_batch)
             if not batch:
                 candidates = [r.view() for r in records.values() if not r.done]
-                timeline.extend(self.policy.plan(candidates, now))
-                # Gen-2 preemption: freshly planned budgets tighten stage
-                # caps (no-op for gen-1 policies).  A task revoked down to
-                # its executed frontier is complete as of now.  The runtime
-                # has no admission queue, so "contended" is the planner's
-                # own capacity deficit: stages demanded but not fundable.
-                preempted = apply_stage_budgets(
-                    self.policy,
-                    records,
-                    now,
-                    tel,
-                    scope="runtime",
-                    contended=bool(
-                        getattr(
-                            getattr(self.policy, "last_plan", None),
-                            "contended",
-                            True,
-                        )
-                    ),
+                order, _ = replan(
+                    self.policy, records, candidates, now, tel, "runtime"
                 )
-                for ptid in preempted:
-                    revoked = records[ptid]
-                    if revoked.complete and revoked.finish_time is None:
-                        revoked.finish_time = now
-                        if tel is not None:
-                            tel.registry.counter("runtime.tasks_completed").inc()
-                            tel.trace.complete(
-                                now, ptid, stages_done=revoked.stages_done
-                            )
+                timeline.extend(order)
                 batch, stage, timeline = form_batch(
                     timeline, records, cfg.max_batch
                 )
@@ -506,23 +464,17 @@ class StagedInferenceRuntime:
                 )
                 features[tid] = new_features[i : i + 1].copy()
                 if record.complete:
-                    record.finish_time = now
-                    if tel is not None:
-                        tel.registry.counter("runtime.tasks_completed").inc()
-                        tel.trace.complete(now, tid, stages_done=record.stages_done)
+                    finish(record, now, tel, "runtime")
 
         results = []
         for tid in sorted(records):
             record = records[tid]
-            elapsed = record.finish_time if record.finish_time is not None else (
-                time.monotonic() - t0
-            )
             results.append(
                 RuntimeTaskResult(
                     task_id=tid,
                     outcomes=list(record.outcomes),
                     evicted=record.evicted,
-                    elapsed=float(elapsed),
+                    elapsed=0.0 if record.shed else float(record.finish_time),
                     completed=record.fully_complete,
                     shed=record.shed,
                     anytime_served=record.anytime_served,

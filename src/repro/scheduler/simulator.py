@@ -14,6 +14,15 @@ Concurrency model: all tasks are backlogged at t=0 and at most
 constraint starts at its admission.  When a task finishes or is evicted, the
 next backlogged task is admitted immediately, keeping the system at the
 target concurrency level, which is the x-axis of Fig. 4.
+
+The task lifecycle is shared with :mod:`repro.scheduler.runtime`: a
+deadline event, a task that expired while queued and the end-of-run
+leftovers all go to :func:`~repro.scheduler.task.expire`, completions to
+:func:`~repro.scheduler.task.finish`, ingress overload to
+:func:`~repro.scheduler.task.shed` / :func:`~repro.scheduler.task.degrade`,
+and re-planning to :func:`~repro.scheduler.gen2.replan`.  What stays here
+is what the runtime lacks: the event heap, worker slots, slot turnover
+after a task ends, and the ingress / rate-limit queue.
 """
 
 from __future__ import annotations
@@ -28,9 +37,9 @@ import numpy as np
 
 from .. import telemetry
 from ..admission import AdmissionConfig, TokenBucket, expected_utility, select_shed
-from .gen2 import apply_stage_budgets
+from .gen2 import replan
 from .policies import PlanItem, SchedulingPolicy
-from .task import StageOutcome, TaskRecord, TaskView
+from .task import StageOutcome, TaskRecord, TaskView, degrade, expire, finish, shed
 
 
 @dataclass(frozen=True)
@@ -373,13 +382,9 @@ class PoolSimulator:
         peak_queue_depth = 0
         predictor = getattr(self.policy, "predictor", None)
         mean_stage_time = float(np.mean(cfg.stage_times))
-
-        def constraint_of(tid: int) -> float:
-            return (
-                self.task_latency_constraints[tid]
-                if self.task_latency_constraints is not None
-                else cfg.latency_constraint
-            )
+        constraints = self.task_latency_constraints or (
+            [cfg.latency_constraint] * len(self.oracles)
+        )
 
         def waiting_ids(now: float) -> List[int]:
             """Arrived-but-unadmitted task ids (the ingress queue)."""
@@ -390,15 +395,17 @@ class PoolSimulator:
                 out.append(tid)
             return out
 
-        def waiting_view(tid: int, now: float) -> TaskView:
+        def new_record(tid: int, now: float) -> TaskRecord:
+            # Closed-loop (no arrival times): a task "arrives" when
+            # admitted, matching the paper's constant-concurrency test.
+            # Open-loop: the clock starts at the true arrival instant,
+            # so queueing delay counts against the latency constraint.
             arrived = arrival_of(tid) if self.arrival_times is not None else now
-            return TaskView(
+            return TaskRecord(
                 task_id=tid,
                 arrival_time=arrived,
-                deadline=arrived + constraint_of(tid),
+                deadline=arrived + constraints[tid],
                 num_stages=self.num_stages,
-                stages_done=0,
-                confidences=(),
             )
 
         def shed_task(
@@ -406,28 +413,17 @@ class PoolSimulator:
         ) -> None:
             """Drop a waiting task before it receives any service."""
             backlog.remove(tid)
-            arrived = arrival_of(tid) if self.arrival_times is not None else now
-            record = TaskRecord(
-                task_id=tid,
-                arrival_time=arrived,
-                deadline=arrived + constraint_of(tid),
-                num_stages=self.num_stages,
+            records[tid] = new_record(tid, now)
+            if tel is not None and reason == "rate-limit":
+                tel.trace.admission_reject(
+                    now, "simulator", reason, bucket.retry_after(now=now)
+                )
+            utility = (
+                expected_utility(view, predictor, now, mean_stage_time)
+                if view is not None
+                else 0.0
             )
-            record.shed = True
-            records[tid] = record
-            if tel is not None:
-                tel.registry.counter("simulator.tasks_shed").inc()
-                if reason == "rate-limit" and bucket is not None:
-                    tel.trace.admission_reject(
-                        now, "simulator", reason, bucket.retry_after(now=now)
-                    )
-                else:
-                    eu = (
-                        expected_utility(view, predictor, now, mean_stage_time)
-                        if view is not None
-                        else 0.0
-                    )
-                    tel.trace.load_shed(now, tid, expected_utility=eu)
+            shed(records[tid], now, utility, tel, "simulator")
 
         def manage_overload(now: float) -> None:
             """Rate-limit and queue-bound the ingress before admitting."""
@@ -446,7 +442,7 @@ class PoolSimulator:
             slots = max(0, cfg.concurrency - len(active))
             excess = len(waiting) - slots - (depth if depth is not None else len(waiting))
             if depth is not None and excess > 0:
-                views = {tid: waiting_view(tid, now) for tid in waiting}
+                views = {tid: new_record(tid, now).view() for tid in waiting}
                 to_shed = select_shed(
                     list(views.values()),
                     excess,
@@ -474,18 +470,7 @@ class PoolSimulator:
                 and arrival_of(backlog[0]) <= now + 1e-12
             ):
                 tid = backlog.popleft()
-                constraint = constraint_of(tid)
-                # Closed-loop (no arrival times): a task "arrives" when
-                # admitted, matching the paper's constant-concurrency test.
-                # Open-loop: the clock starts at the true arrival instant,
-                # so queueing delay counts against the latency constraint.
-                arrived = arrival_of(tid) if self.arrival_times is not None else now
-                record = TaskRecord(
-                    task_id=tid,
-                    arrival_time=arrived,
-                    deadline=arrived + constraint,
-                    num_stages=self.num_stages,
-                )
+                record = records[tid] = new_record(tid, now)
                 if (
                     adm is not None
                     and adm.degrade_queue_depth is not None
@@ -494,18 +479,14 @@ class PoolSimulator:
                     # Degrade-before-drop: admitted into a congested system,
                     # so cap the task at an early exit to turn capacity over
                     # faster.
-                    record.stage_cap = adm.degrade_stage_cap
-                    if tel is not None:
-                        tel.registry.counter("simulator.tasks_degraded").inc()
-                        tel.trace.degrade_cap(now, tid, stage_cap=record.stage_cap)
-                records[tid] = record
+                    degrade(record, adm.degrade_stage_cap, now, tel, "simulator")
                 if record.deadline <= now:
-                    # The latency constraint expired while the task queued.
-                    record.evicted = True
-                    record.finish_time = record.deadline
-                    if tel is not None:
-                        tel.registry.counter("simulator.deadline_misses").inc()
-                        tel.trace.deadline_miss(now, tid, deadline=record.deadline)
+                    # The latency constraint expired while the task queued:
+                    # evicted as of its deadline, with nothing computed.
+                    expire(
+                        record, now, cfg.anytime, tel, "simulator",
+                        evicted_at=record.deadline,
+                    )
                     continue
                 active[tid] = record
                 if tel is not None:
@@ -519,35 +500,10 @@ class PoolSimulator:
             if tel is not None and adm is not None:
                 tel.registry.gauge("simulator.queue_depth").set(depth_now)
 
-        def retire(tid: int, now: float, evicted: bool) -> None:
-            record = active.pop(tid, None)
-            if record is None:
-                return
-            if evicted and cfg.anytime and record.outcomes:
-                # Anytime contract: the deadline fired with stages in hand —
-                # serve the best-so-far early exit exactly at the deadline
-                # (never late) instead of evicting.
-                record.finalize_anytime(now)
-                if tel is not None:
-                    tel.registry.counter("simulator.anytime_served").inc()
-                    tel.trace.degraded(
-                        record.finish_time, tid, record.outcomes[-1].stage
-                    )
-                    tel.registry.counter("simulator.tasks_completed").inc()
-                    tel.trace.complete(
-                        record.finish_time, tid, stages_done=record.stages_done
-                    )
-            else:
-                record.evicted = evicted
-                record.finish_time = now
-                if tel is not None:
-                    if evicted:
-                        tel.registry.counter("simulator.deadline_misses").inc()
-                        tel.trace.deadline_miss(now, tid, deadline=record.deadline)
-                        tel.trace.evict(now, tid, stages_done=record.stages_done)
-                    else:
-                        tel.registry.counter("simulator.tasks_completed").inc()
-                        tel.trace.complete(now, tid, stages_done=record.stages_done)
+        def release(tid: int, now: float) -> None:
+            """Slot turnover: ``tid`` reached its terminal state, so its
+            concurrency slot goes to the next backlogged task."""
+            del active[tid]
             if replan_on_events:
                 # Gen-2: a completion changes the joint budget picture;
                 # drop the stale timeline so the next dispatch re-plans.
@@ -585,31 +541,18 @@ class PoolSimulator:
                         for r in active.values()
                         if not r.done and r.task_id not in in_flight
                     ]
-                    timeline = deque(self.policy.plan(views, now))
-                    # Gen-2 preemption: apply the freshly planned budgets as
-                    # tightening-only stage caps (no-op for gen-1 policies).
-                    # Caps pay through slot turnover, so they apply only
-                    # while somebody is actually waiting for admission.
-                    preempted = apply_stage_budgets(
-                        self.policy,
-                        active,
-                        now,
-                        tel,
-                        scope="simulator",
+                    # Gen-2 caps pay through slot turnover, so they apply
+                    # only while somebody is actually waiting for admission.
+                    order, finished = replan(
+                        self.policy, active, views, now, tel, "simulator",
                         contended=bool(waiting_ids(now)),
                     )
-                    for ptid in preempted:
-                        revoked = active.get(ptid)
-                        # Revoked down to its already-executed frontier: the
-                        # task is complete *now* — retire it immediately so
-                        # its concurrency slot turns over instead of idling
-                        # until the deadline daemon fires.
-                        if (
-                            revoked is not None
-                            and revoked.complete
-                            and ptid not in in_flight
-                        ):
-                            retire(ptid, now, evicted=False)
+                    timeline = deque(order)
+                    # Revoked down to its executed frontier, a task is
+                    # complete now: its slot turns over at once instead of
+                    # idling until the deadline daemon fires.
+                    for ptid in finished:
+                        release(ptid, now)
                     if not timeline:
                         return None
             return None
@@ -675,20 +618,19 @@ class PoolSimulator:
                         if gain > 0:
                             tel.registry.counter("simulator.utility_accrued").inc(gain)
                     if record.complete:
-                        retire(tid, now, evicted=False)
+                        finish(record, now, tel, "simulator")
+                        release(tid, now)
                 dispatch(now)
             elif kind == _DEADLINE:
                 (tid,) = payload
-                record = records[tid]
-                if tid in active and not record.done:
-                    # Daemon eviction: task leaves with whatever stages ran.
+                record = active.get(tid)
+                if record is not None:
+                    # The daemon: the task leaves with the stages it ran.
+                    # (A task that ends any other way is released at once,
+                    # so an active task is never done here.)
                     makespan = max(makespan, now)
-                    retire(tid, now, evicted=True)
-                elif tid in active and record.done:
-                    # Safety net: completed (e.g. revoked to its executed
-                    # frontier) but never retired — close it on time.
-                    makespan = max(makespan, now)
-                    retire(tid, now, evicted=False)
+                    expire(record, now, cfg.anytime, tel, "simulator")
+                    release(tid, now)
                 dispatch(now)
             elif kind == _ARRIVAL:
                 if replan_on_events:
@@ -699,30 +641,15 @@ class PoolSimulator:
                 dispatch(now)
 
         # Tasks still active when events drain (shouldn't happen: deadlines
-        # guarantee progress) are counted as evicted at their deadline.
+        # guarantee progress) expire at their deadline, and so do backlog
+        # leftovers (possible only in open-loop corner cases), with no
+        # stages executed.
         for tid, record in list(active.items()):
-            retire(tid, record.deadline, evicted=True)
-        # Backlog leftovers (possible only in open-loop corner cases) are
-        # evicted at their own deadlines with no stages executed.
+            expire(record, record.deadline, cfg.anytime, tel, "simulator")
+            release(tid, record.deadline)
         for tid in backlog:
-            constraint = (
-                self.task_latency_constraints[tid]
-                if self.task_latency_constraints is not None
-                else cfg.latency_constraint
-            )
-            arrived = arrival_of(tid)
-            record = TaskRecord(
-                task_id=tid,
-                arrival_time=arrived,
-                deadline=arrived + constraint,
-                num_stages=self.num_stages,
-            )
-            record.evicted = True
-            record.finish_time = record.deadline
-            records[tid] = record
-            if tel is not None:
-                tel.registry.counter("simulator.deadline_misses").inc()
-                tel.trace.deadline_miss(record.deadline, tid, deadline=record.deadline)
+            record = records[tid] = new_record(tid, arrival_of(tid))
+            expire(record, record.deadline, cfg.anytime, tel, "simulator")
 
         ordered = [records[tid] for tid in sorted(records)]
         return EpisodeResult(

@@ -1,4 +1,12 @@
-"""Task representations shared by the scheduler, simulator and runtime."""
+"""Task representations shared by the scheduler, simulator and runtime.
+
+Also the task lifecycle both serving loops call: a task ends in exactly
+one terminal state through :func:`finish`, :func:`expire` or :func:`shed`;
+:func:`degrade` caps a live one.  Each transition updates the record,
+counts under the caller's scope (``runtime.*`` / ``simulator.*``) and
+emits at most one terminal trace event (``docs/SCHEDULER.md``, "Task
+lifecycle").
+"""
 
 from __future__ import annotations
 
@@ -124,21 +132,6 @@ class TaskRecord:
             return False
         return bool(self.outcomes[-1].correct)
 
-    def finalize_anytime(self, now: float) -> None:
-        """Close the task under the anytime contract at its deadline.
-
-        The best already-computed stage becomes the served answer: the cap
-        tightens to what actually ran (so ``complete`` holds), and the
-        response is stamped at the deadline itself — a deadline-constrained
-        ``infer()`` is *never late*, even if the daemon noticed after the
-        fact.  Callers must guarantee ``outcomes`` is non-empty.
-        """
-        if not self.outcomes:
-            raise ValueError("anytime finalize needs at least one outcome")
-        self.stage_cap = self.stages_done
-        self.anytime_served = True
-        self.finish_time = min(now, self.deadline)
-
     def view(self) -> "TaskView":
         # Policies see the cap-aware stage count, so a degraded task is
         # never planned past its early exit.
@@ -187,3 +180,81 @@ class TaskView:
 
     def remaining_time(self, now: float) -> float:
         return self.deadline - now
+
+
+# -- task lifecycle: ``tel`` is the telemetry session or ``None`` ----------
+
+
+def finish(record: TaskRecord, now: float, tel, scope: str) -> None:
+    """Complete: every stage the task is entitled to ran (cap-aware)."""
+    record.finish_time = now
+    if tel is not None:
+        tel.registry.counter(f"{scope}.tasks_completed").inc()
+        tel.trace.complete(now, record.task_id, stages_done=record.stages_done)
+
+
+def expire(
+    record: TaskRecord,
+    now: float,
+    anytime: bool,
+    tel,
+    scope: str,
+    evicted_at: Optional[float] = None,
+) -> None:
+    """The latency constraint ran out: serve best-so-far, or evict.
+
+    Under the anytime contract a task holding at least one stage result is
+    *served* it: the cap tightens to what actually ran (so ``complete``
+    holds) and the response is stamped at the deadline itself — never
+    late, even when the expiry is noticed after the fact.  Any other task
+    is evicted, a deadline miss, with ``finish_time`` at ``evicted_at``
+    (default ``now``).  Trace events are stamped at ``now`` either way,
+    so a caller that learns of an eviction late (the simulator's
+    expired-while-queued task, ``evicted_at`` = its deadline) never steps
+    its trace back in time.
+    """
+    if anytime and record.outcomes:
+        record.stage_cap = record.stages_done
+        record.anytime_served = True
+        record.finish_time = min(now, record.deadline)
+        if tel is not None:
+            tel.registry.counter(f"{scope}.anytime_served").inc()
+            tel.trace.degraded(
+                record.finish_time, record.task_id, record.outcomes[-1].stage
+            )
+        return
+    record.evicted = True
+    record.finish_time = now if evicted_at is None else evicted_at
+    if tel is not None:
+        tel.registry.counter(f"{scope}.deadline_misses").inc()
+        tel.trace.deadline_miss(now, record.task_id, deadline=record.deadline)
+        tel.trace.evict(now, record.task_id, stages_done=record.stages_done)
+
+
+def shed(
+    record: TaskRecord,
+    now: float,
+    expected_utility: float,
+    tel,
+    scope: str,
+) -> None:
+    """Drop the task under overload before it is served.
+
+    ``finish_time`` stays ``None``: a shed task received no service, so
+    it has no service latency.  ``expected_utility`` is the score the shed
+    ranking used, logged on the ``load-shed`` event.
+    """
+    record.shed = True
+    if tel is not None:
+        tel.registry.counter(f"{scope}.tasks_shed").inc()
+        tel.trace.load_shed(now, record.task_id, expected_utility=expected_utility)
+
+
+def degrade(
+    record: TaskRecord, cap: int, now: float, tel, scope: str
+) -> None:
+    """Degrade-before-drop: cap a live task at an early exit (not terminal)."""
+    record.stage_cap = cap
+    if tel is not None:
+        tel.registry.counter(f"{scope}.tasks_degraded").inc()
+        tel.trace.degrade_cap(now, record.task_id, stage_cap=cap)

@@ -558,15 +558,13 @@ class EugeneService:
         # Graceful degradation (Sec. III's anytime contract): a task whose
         # later stages never finished inside the budget — deadline or fault
         # — is still served from its best completed early exit, flagged so
-        # the client can distinguish a weaker answer from a full one.
+        # the client can distinguish a weaker answer from a full one.  The
+        # runtime already traced each task's one terminal event.
         tel = telemetry.active()
         if tel is not None:
             for r in results:
                 if r.degraded:
                     tel.registry.counter("service.degraded_responses").inc()
-                    # Stamped at the task's episode-relative finish time,
-                    # not a hard-coded t=0.
-                    tel.trace.degraded(r.elapsed, r.task_id, r.served_stage)
         return InferResponse(
             predictions=[r.prediction for r in results],
             confidences=[r.confidence for r in results],

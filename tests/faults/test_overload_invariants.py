@@ -8,7 +8,7 @@ seeded fault plan in the mix) and asserts the overload contract:
   retry-after hint, never a silent drop or a bare exception;
 - no task is ever both shed and served — shed means zero service;
 - the shed/served/evicted partition covers every submitted task exactly
-  once;
+  once, and the trace gives every task exactly one terminal event;
 - the same seed sheds the same tasks (overload handling is deterministic).
 """
 
@@ -26,6 +26,8 @@ from repro.faults import BackpressureError, FaultPlan, FaultSpec, RetryPolicy
 from repro.nn import StagedResNet, StagedResNetConfig
 from repro.scheduler import FIFOPolicy, PoolSimulator, SimulationConfig, TaskOracle
 from repro.service import DeleteRequest, EugeneClient, EugeneService, RejectedResponse
+
+from ..scheduler.trace_invariants import check_lifecycle
 
 
 @pytest.fixture(autouse=True)
@@ -89,6 +91,30 @@ class TestQueueBound:
 
 
 class TestShedServedPartition:
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_trace_ends_every_task_exactly_once(self, seed):
+        # Shed at the door, expired while queued, evicted, capped, served:
+        # whichever way a task goes, the trace gives it one terminal event.
+        with telemetry.session() as tel:
+            result = overloaded_episode(seed, stage_failure_prob=0.1)
+            terminal = check_lifecycle(tel.trace, num_stages=3)
+        assert sorted(terminal) == [r.task_id for r in result.records]
+
+    def test_task_expired_while_queued_ends_exactly_once(self):
+        # No queue bound: most of a burst waits past its deadline before
+        # a slot frees, and is evicted without ever being admitted.
+        config = SimulationConfig(
+            num_workers=1, concurrency=2, stage_times=(1.0, 1.0, 1.0),
+            latency_constraint=4.0,
+        )
+        with telemetry.session() as tel:
+            result = PoolSimulator(
+                make_oracles(12), FIFOPolicy(), config, arrival_times=[0.0] * 12
+            ).run()
+            terminal = check_lifecycle(tel.trace, num_stages=3)
+        assert sorted(terminal) == list(range(12))
+        assert sum(1 for r in result.records if r.evicted and not r.outcomes) >= 6
+
     @pytest.mark.parametrize("seed", [0, 5])
     def test_no_task_is_both_shed_and_served(self, seed):
         result = overloaded_episode(seed)

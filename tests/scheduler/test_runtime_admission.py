@@ -80,6 +80,15 @@ class TestRuntimeAdmission:
         for result in runtime.run_until_complete():
             assert not (result.shed and result.outcomes)
 
+    def test_shed_task_elapsed_is_zero(self, inputs):
+        # A shed task received no service, so it reports no latency — not
+        # the length of the episode the served tasks ran for.
+        runtime = make_runtime(admission=OVERLOADED)
+        runtime.submit(inputs)
+        results = runtime.run_until_complete()
+        assert [r.elapsed for r in results if r.shed] == [0.0, 0.0]
+        assert all(r.elapsed > 0.0 for r in results if not r.shed)
+
     def test_telemetry_counts_shed_and_degraded(self, inputs):
         session = telemetry.enable()
         try:

@@ -15,6 +15,8 @@ from repro.scheduler.policies import RoundRobinPolicy
 from repro.scheduler.runtime import RuntimeConfig, StagedInferenceRuntime
 from repro.telemetry.trace import DEGRADED
 
+from .trace_invariants import check_lifecycle
+
 
 @pytest.fixture(scope="module")
 def small_model():
@@ -62,6 +64,8 @@ class TestRuntimeAnytime:
             assert {e.task_id for e in served} >= {
                 r.task_id for r in results if r.anytime_served
             }
+            terminal = check_lifecycle(t.trace, num_stages=small_model.num_stages)
+            assert sorted(terminal) == [r.task_id for r in results]
             counters = t.registry.counters()
             assert counters["runtime.anytime_served"] == sum(
                 1 for r in results if r.anytime_served

@@ -22,6 +22,8 @@ from repro.scheduler.runtime import RuntimeConfig, StagedInferenceRuntime
 from repro.service.messages import InferRequest
 from repro.telemetry.trace import DEADLINE_MISS, STAGE_DISPATCH
 
+from .trace_invariants import check_lifecycle
+
 
 @pytest.fixture(scope="module")
 def small_model():
@@ -108,6 +110,8 @@ class TestDispatchTimeDeadlineCheck:
             assert t.registry.counters()["runtime.deadline_misses"] == len(
                 {e.task_id for e in misses}
             )
+            terminal = check_lifecycle(t.trace, num_stages=small_model.num_stages)
+            assert sorted(terminal) == [r.task_id for r in results]
 
     def test_comfortable_deadline_unaffected(self, small_model):
         """The sweep must not evict anything when deadlines are loose."""
@@ -166,8 +170,9 @@ class TestDispatchTimeDeadlineCheck:
             RuntimeConfig(latency_constraint=constraint, anytime=anytime),
         )
         runtime.submit(np.random.default_rng(4).normal(size=(3, 3, 16, 16)))
-        with faults.plan_session(plan):
+        with telemetry.session() as tel, faults.plan_session(plan):
             results = runtime.run_until_complete()
+            check_lifecycle(tel.trace, num_stages=small_model.num_stages)
 
         # Task 0 finished one stage before the stall; the stalled stage's
         # result (task 0, stage 1) landed after the deadline and was

@@ -8,13 +8,15 @@ its deadline or past its effective stage budget.
 
 Runs seeded episodes across the policy generations (gen-1 under the
 classic contract, gen-2 with anytime serving and preemption) with
-hypothesis-drawn workload shapes.
+hypothesis-drawn workload shapes, and checks each episode's trace with
+the lifecycle invariants of :mod:`tests.scheduler.trace_invariants`.
 """
 
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro import telemetry
 from repro.scheduler import (
     EDFPolicy,
     FIFOPolicy,
@@ -26,6 +28,8 @@ from repro.scheduler import (
     TaskOracle,
     poisson_arrivals,
 )
+
+from .trace_invariants import check_lifecycle
 
 
 def random_oracles(rng, n):
@@ -97,9 +101,13 @@ def test_utility_conservation(
         anytime=anytime,
     )
     policy = policy_for(POLICY_NAMES[policy_idx], rng, workers)
-    result = PoolSimulator(
-        oracles, policy, config, arrival_times=arrivals
-    ).run()
+    with telemetry.session() as tel:
+        result = PoolSimulator(
+            oracles, policy, config, arrival_times=arrivals
+        ).run()
+        # One terminal event per task, nothing after it, nobody served
+        # late or past their cap — read off the trace alone.
+        check_lifecycle(tel.trace, num_stages=3)
 
     served = served_records(result)
 
@@ -167,9 +175,11 @@ def test_gen2_overload_anytime_contract(seed):
         anytime=True,
     )
     policy = policy_for("gen2", rng, workers)
-    result = PoolSimulator(
-        oracles, policy, config, arrival_times=arrivals
-    ).run()
+    with telemetry.session() as tel:
+        result = PoolSimulator(
+            oracles, policy, config, arrival_times=arrivals
+        ).run()
+        check_lifecycle(tel.trace, num_stages=3)
     served = served_records(result)
     assert result.num_late == 0
     if served:

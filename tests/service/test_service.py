@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from repro import telemetry
+from repro.admission import AdmissionConfig
 from repro.datasets import SyntheticImageConfig, SyntheticImageGenerator, make_image_dataset
 from repro.nn import StagedResNet, StagedResNetConfig
 from repro.service import (
@@ -17,6 +19,8 @@ from repro.service import (
     TrainRequest,
 )
 from repro.service.messages import CalibrateRequest
+
+from ..scheduler.trace_invariants import check_lifecycle
 
 
 TINY = StagedResNetConfig(
@@ -265,6 +269,34 @@ class TestInferEndpoint:
             if served:
                 assert stages >= 1
                 assert degraded
+
+    def test_one_terminal_trace_event_per_task(self, service_with_model):
+        # Through infer() with anytime on, a binding deadline and a queue
+        # bound: tasks end shed, cap-degraded, anytime-served, evicted or
+        # complete, and the trace holds exactly one terminal event for each
+        # — the service adds none of its own.
+        service, trained = service_with_model
+        test_set = make_image_dataset(32, DATA_CFG, seed=24)
+        with telemetry.session() as tel:
+            response = service.infer(
+                InferRequest(
+                    model_id=trained.model_id,
+                    inputs=test_set.inputs,
+                    latency_constraint_s=0.02,
+                    anytime=True,
+                    admission=AdmissionConfig(
+                        max_queue_depth=28,
+                        degrade_queue_depth=20,
+                        degrade_stage_cap=1,
+                    ),
+                )
+            )
+            terminal = check_lifecycle(tel.trace)
+            degraded = tel.registry.counters()["service.degraded_responses"]
+        assert sorted(terminal) == list(range(32))
+        assert sum(response.shed) == 4
+        assert any(response.degraded)
+        assert degraded == sum(response.degraded)
 
     def test_anytime_defaults_off(self, service_with_model):
         service, trained = service_with_model
