@@ -48,7 +48,7 @@ from .controller import (
     EndpointLimits,
     TenantQuota,
 )
-from .limits import ClockSourceMixError, ConcurrencyLimiter, TokenBucket
+from .limits import ConcurrencyLimiter, TokenBucket
 from .shedding import (
     SHED_POLICIES,
     TAIL,
@@ -66,7 +66,6 @@ __all__ = [
     "TenantQuota",
     "TokenBucket",
     "ConcurrencyLimiter",
-    "ClockSourceMixError",
     "expected_utility",
     "reachable_stage",
     "select_shed",

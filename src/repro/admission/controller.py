@@ -34,11 +34,11 @@ for every declared tenant and aggregates undeclared overflow under
 from __future__ import annotations
 
 import threading
-import time
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from .. import telemetry
+from ..clock import MONOTONIC, Clock
 from ..telemetry.metrics import BoundedLabels
 from .limits import ConcurrencyLimiter, TokenBucket
 
@@ -187,10 +187,9 @@ class AdmissionController:
     ``per_endpoint``; ``per_model`` keys are model ids.  A ``None`` default
     leaves unlisted endpoints ungated.
 
-    ``clock`` supplies the timestamp stamped onto rejection trace events
-    and driving every internal token bucket; virtual-time callers (the
-    workload engine) inject their own clock or pass ``now=`` to
-    :meth:`admit` directly.
+    ``clock`` supplies the decision time handed to every internal token
+    bucket and stamped onto rejection trace events; virtual-time callers
+    (the workload engine) pass ``now=`` to :meth:`admit` instead.
     """
 
     def __init__(
@@ -204,7 +203,7 @@ class AdmissionController:
         tenant_capacity_per_s: Optional[float] = None,
         tenant_capacity_burst: Optional[float] = None,
         work_conserving: bool = True,
-        clock: Callable[[], float] = time.monotonic,
+        clock: Clock = MONOTONIC,
         max_tenant_keys: int = 1024,
     ) -> None:
         if retry_after_floor_s < 0:
@@ -462,7 +461,7 @@ class AdmissionController:
         (virtual-time callers pass their own timeline; all internal
         buckets and the rejection trace see the same timestamp).
         """
-        ts = self._clock() if now is None else now
+        ts = self._clock.now() if now is None else now
         gated_tenant = tenant is not None and (
             self.per_tenant
             or self.tenant_default is not None

@@ -1,33 +1,18 @@
 """Rate and concurrency limiters — the mechanical half of admission control.
 
-Both limiters are deliberately tiny, deterministic, and clock-injectable:
-the :class:`~repro.scheduler.simulator.PoolSimulator` drives them on
-virtual time (every decision is a pure function of the timestamps it is
-fed), while the live service drives them on ``time.monotonic``.  Thread
-safety matters only for the live path, so each limiter carries its own
-lock.
+Both limiters are deliberately tiny and deterministic.  The token bucket
+reads no clock: every decision is a pure function of the ``now`` its
+caller passes — virtual time in the
+:class:`~repro.scheduler.simulator.PoolSimulator` and the workload engine,
+the :class:`~repro.admission.AdmissionController`'s clock on the live
+service.  Thread safety matters only for the live path, so each limiter
+carries its own lock.
 """
 
 from __future__ import annotations
 
 import threading
-import time
-from typing import Callable, Optional
-
-
-class ClockSourceMixError(ValueError):
-    """A :class:`TokenBucket` was driven from two unrelated timelines.
-
-    Calls that pass ``now=`` (virtual time) interleaved with calls that
-    fall back to the bucket's own clock would move ``_refilled_at``
-    between timelines with no common origin, silently minting or
-    destroying tokens.  The bucket latches onto whichever source its
-    first decision used and refuses the other one ever after.
-    """
-
-
-_INTERNAL = "internal"
-_EXTERNAL = "external"
+from typing import Optional
 
 
 class TokenBucket:
@@ -38,81 +23,54 @@ class TokenBucket:
     deficit back into the seconds a rejected caller should wait — the
     retry-after hint carried by a typed rejection.
 
-    **One timeline per bucket.**  A bucket is driven either by its own
-    ``clock`` (no ``now=`` argument — the live service) or by explicit
-    ``now=`` timestamps (virtual time — the simulator and the workload
-    engine), never both: the first decision latches the source and a call
-    from the other source raises :class:`ClockSourceMixError` instead of
-    corrupting ``_refilled_at``.
+    Every call passes ``now``.  The first call anchors the refill origin
+    (the bucket starts full); a ``now`` earlier than the last refill
+    neither refills nor moves the origin, so replaying a stale timestamp
+    can never mint tokens.
     """
 
-    def __init__(
-        self,
-        rate_per_s: float,
-        burst: Optional[float] = None,
-        clock: Callable[[], float] = time.monotonic,
-    ) -> None:
+    def __init__(self, rate_per_s: float, burst: Optional[float] = None) -> None:
         if rate_per_s <= 0:
             raise ValueError("rate_per_s must be positive")
         if burst is not None and burst < 1:
             raise ValueError("burst must allow at least one token")
         self.rate_per_s = float(rate_per_s)
         self.burst = float(burst) if burst is not None else max(1.0, rate_per_s)
-        self._clock = clock
         self._tokens = self.burst
-        self._refilled_at = clock()
-        #: which timeline drives this bucket; latched by the first decision.
-        self._source: Optional[str] = None
+        self._refilled_at: Optional[float] = None
         self._lock = threading.Lock()
 
-    def _now_locked(self, now: Optional[float]) -> float:
-        """Resolve the decision timestamp, latching the clock source."""
-        source = _INTERNAL if now is None else _EXTERNAL
-        if self._source is None:
-            self._source = source
-            if source == _EXTERNAL:
-                # The constructor stamped _refilled_at from the internal
-                # clock; restart the timeline at the caller's origin so
-                # the first virtual timestamp cannot mint/destroy tokens.
-                self._refilled_at = now
-        elif self._source != source:
-            raise ClockSourceMixError(
-                f"TokenBucket latched to its {self._source} clock source; "
-                f"a call {'passing now=' if now is not None else 'without now='} "
-                "would interleave an unrelated timeline (tokens would be "
-                "minted or destroyed). Drive each bucket from one source."
-            )
-        return self._clock() if now is None else now
-
     def _refill(self, now: float) -> None:
-        elapsed = max(0.0, now - self._refilled_at)
-        self._tokens = min(self.burst, self._tokens + elapsed * self.rate_per_s)
-        self._refilled_at = now
+        if self._refilled_at is None:
+            self._refilled_at = now
+        elif now > self._refilled_at:
+            elapsed = now - self._refilled_at
+            self._tokens = min(self.burst, self._tokens + elapsed * self.rate_per_s)
+            self._refilled_at = now
 
-    def try_acquire(self, now: Optional[float] = None) -> bool:
-        """Consume one token if available; ``now`` overrides the clock
-        (virtual-time callers must pass a monotone sequence)."""
+    def try_acquire(self, now: float) -> bool:
+        """Consume one token if one is available at ``now``."""
         with self._lock:
-            self._refill(self._now_locked(now))
+            self._refill(now)
             if self._tokens >= 1.0:
                 self._tokens -= 1.0
                 return True
             return False
 
-    def charge(self, now: Optional[float] = None) -> None:
+    def charge(self, now: float) -> None:
         """Deduct one token unconditionally, allowing the balance to go
         negative (debt).  Used by hierarchical sharing: guaranteed-share
         admissions debit the shared pool so borrowers only ever see
         capacity that is genuinely unused — a failed best-effort charge
         would silently inflate the aggregate admitted rate instead."""
         with self._lock:
-            self._refill(self._now_locked(now))
+            self._refill(now)
             self._tokens -= 1.0
 
-    def retry_after(self, now: Optional[float] = None) -> float:
+    def retry_after(self, now: float) -> float:
         """Seconds until one token will be available (0 if one already is)."""
         with self._lock:
-            self._refill(self._now_locked(now))
+            self._refill(now)
             deficit = 1.0 - self._tokens
             return max(0.0, deficit / self.rate_per_s)
 

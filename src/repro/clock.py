@@ -1,44 +1,39 @@
-"""Injectable time for the cluster tier — the autoscaler's test harness.
+"""The one module that reads time.
 
-Every time-dependent decision in the autoscaler (cooldowns, hysteresis
-windows, cold-start measurement, idle-model TTLs) reads time through a
-:class:`Clock` instead of calling :mod:`time` directly.  Production code
-gets :class:`MonotonicClock`; tests get :class:`VirtualClock`, where time
-only moves when the test says so — every scaling decision becomes a pure
-function of (snapshot, config, virtual now) and the whole policy suite
-runs without a single real sleep.
+Every time-dependent decision in the package (deadlines, cooldowns,
+hysteresis windows, retry backoffs, injected stalls) reads time through a
+:class:`Clock`, never through :mod:`time` directly — a guard test fails on
+``time.monotonic`` / ``time.time`` / ``time.sleep`` anywhere else.  A
+component either owns a ``Clock`` (defaulting to the shared
+:data:`MONOTONIC`) or is handed ``now`` by its caller; the token bucket is
+the second kind.  Tests get :class:`VirtualClock`, where time only moves
+when the test says so — a decision becomes a pure function of its inputs
+and the virtual now, and a suite runs without a single real sleep.
 
-:class:`VirtualClock` is also a drop-in ``clock=`` callable for the
-pieces that already take one (:class:`~repro.faults.CircuitBreaker`,
-:class:`~repro.admission.TokenBucket`): calling the instance returns
-``now()``.
+``time.perf_counter`` stays legal as a stopwatch for measured durations:
+it never decides anything.
 
 :func:`wait_until` is the bounded-polling companion for conditions that
-*do* involve real concurrency (a child process dying, a watchdog
-respawning).  It polls through the clock, so under a virtual clock the
-"waiting" is deterministic time-stepping rather than wall-clock sleeping.
+*do* involve real concurrency (a child process dying, a queue draining).
+It polls through the clock, so under a virtual clock the "waiting" is
+deterministic time-stepping rather than wall-clock sleeping.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from typing import Callable, Optional
+from typing import Callable
 
 
 class Clock:
-    """The minimal time surface the cluster tier depends on."""
+    """The minimal time surface every component depends on."""
 
     def now(self) -> float:  # pragma: no cover - interface
         raise NotImplementedError
 
     def sleep(self, seconds: float) -> None:  # pragma: no cover - interface
         raise NotImplementedError
-
-    def __call__(self) -> float:
-        """Alias for :meth:`now`, so a clock slots into every API that
-        takes a bare ``clock: Callable[[], float]``."""
-        return self.now()
 
 
 class MonotonicClock(Clock):
@@ -50,6 +45,10 @@ class MonotonicClock(Clock):
     def sleep(self, seconds: float) -> None:
         if seconds > 0:
             time.sleep(seconds)
+
+
+#: The shared real-time clock: the default of every component that owns one.
+MONOTONIC = MonotonicClock()
 
 
 class VirtualClock(Clock):
@@ -89,17 +88,16 @@ def wait_until(
     predicate: Callable[[], bool],
     timeout: float = 15.0,
     interval: float = 0.05,
-    clock: Optional[Clock] = None,
+    clock: Clock = MONOTONIC,
 ) -> bool:
     """Poll ``predicate`` until true or ``timeout`` elapses on ``clock``.
 
-    The one sanctioned replacement for ad-hoc ``time.sleep`` loops in
-    tests: the wait is *bounded* (never a bare sleep whose duration was
-    tuned to a machine) and clock-injectable (a virtual clock makes the
-    poll a deterministic time-step loop).  Returns the predicate's final
-    value, so callers can ``assert wait_until(...)``.
+    The one sanctioned replacement for ad-hoc ``time.sleep`` loops: the
+    wait is *bounded* (never a bare sleep whose duration was tuned to a
+    machine) and clock-injectable (a virtual clock makes the poll a
+    deterministic time-step loop).  Returns the predicate's final value,
+    so callers can ``assert wait_until(...)``.
     """
-    clock = clock or MonotonicClock()
     deadline = clock.now() + timeout
     while clock.now() < deadline:
         if predicate():

@@ -48,7 +48,6 @@ from .autoscaler import (
     LoadSnapshot,
     decide,
 )
-from .clock import Clock, MonotonicClock, VirtualClock, wait_until
 from .hashing import place, placement_score
 from .health import (
     DOWN,
@@ -104,10 +103,6 @@ __all__ = [
     "SCALE_DOWN",
     "HOLD",
     "ACTIONS",
-    "Clock",
-    "MonotonicClock",
-    "VirtualClock",
-    "wait_until",
     "place",
     "placement_score",
     "HealthConfig",

@@ -1,16 +1,15 @@
 """Elastic replica autoscaling for the serving tier.
 
-This is ROADMAP's "scale with demand" rung: a controller that watches
-router telemetry — queue depth, shed fraction, latency — and grows or
-shrinks the fleet online through :meth:`ServiceRouter.add_replica` /
-:meth:`ServiceRouter.drain_replica`.  The design splits cleanly in two:
+A controller that watches router telemetry — queue depth, shed
+fraction, latency — and grows or shrinks the fleet online through
+:meth:`ServiceRouter.add_replica` / :meth:`ServiceRouter.drain_replica`.
+The design splits cleanly in two:
 
 - **Policy** (:func:`decide`) is a *pure function* of
   ``(LoadSnapshot, ControllerState, AutoscalerConfig)``.  No clock
   reads, no router access, no side effects — every cooldown, hysteresis
   window, and step bound is unit-testable on a virtual timestamp with
-  zero real sleeps.  That purity is the point of this PR's test
-  archetype: the controller cannot flake because it cannot wait.
+  zero real sleeps: the controller cannot flake because it cannot wait.
 - **Actuation** (:class:`Autoscaler`) owns the messy parts: building
   snapshots from live telemetry, spawning replicas (with a configurable
   *pre-warm pool* that hides process spawn latency), draining victims
@@ -43,7 +42,7 @@ import time
 from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Optional, Tuple
 
-from .clock import Clock, MonotonicClock
+from ..clock import MONOTONIC, Clock
 
 #: Decision actions.
 SCALE_UP = "scale_up"
@@ -290,7 +289,7 @@ class Autoscaler:
     ) -> None:
         self.router = router
         self.config = config or AutoscalerConfig()
-        self.clock = clock or getattr(router, "clock", None) or MonotonicClock()
+        self.clock = clock or getattr(router, "clock", MONOTONIC)
         factory = replica_factory or getattr(router, "replica_factory", None)
         if factory is None:
             raise ValueError(

@@ -48,6 +48,7 @@ from multiprocessing.connection import wait as _connection_wait
 from typing import Any, Dict, List, Optional, Tuple
 
 from .. import faults
+from ..clock import MONOTONIC, wait_until
 from ..faults import TransientServiceError
 from ..service.model_registry import ModelEntry
 from ..service.server import EugeneService
@@ -471,16 +472,15 @@ class ProcessReplica:
                 if self._req_arena is not None:
                     self._finalize(clean=False)
             return
-        deadline = time.monotonic() + timeout
-        while self.outstanding > 0 and time.monotonic() < deadline:
-            time.sleep(0.001)
+        deadline = MONOTONIC.now() + timeout
+        wait_until(lambda: self.outstanding == 0, timeout, interval=0.001)
         with self._lock:
             self._alive = False
             self._submitq.put(_STOP)
-        self._dispatcher_thread.join(max(0.1, deadline - time.monotonic()))
+        self._dispatcher_thread.join(max(0.1, deadline - MONOTONIC.now()))
         proc = self._proc
         if proc is not None:
-            proc.join(max(0.1, deadline - time.monotonic()))
+            proc.join(max(0.1, deadline - MONOTONIC.now()))
             if proc.is_alive():  # pragma: no cover - wedged child
                 proc.kill()
                 proc.join(1.0)
@@ -547,8 +547,7 @@ class ProcessReplica:
         if decision is not None:
             if decision.kind != faults.LATENCY:
                 return False
-            if decision.latency_s > 0:
-                time.sleep(decision.latency_s)
+            MONOTONIC.sleep(decision.latency_s)
         try:
             return bool(self._control("ping", timeout=self._ping_timeout_s))
         except TransientServiceError:
@@ -567,11 +566,11 @@ class ProcessReplica:
                     )
                 ctrl = self._ctrl
             ctrl_id = next(self._ctrl_ids)
-            deadline = time.monotonic() + timeout
+            deadline = MONOTONIC.now() + timeout
             try:
                 ctrl.send(CtrlMsg(ctrl_id=ctrl_id, op=op, args=args))
                 while True:
-                    remaining = deadline - time.monotonic()
+                    remaining = deadline - MONOTONIC.now()
                     if remaining <= 0 or not ctrl.poll(max(0.0, remaining)):
                         raise ReplicaDownError(
                             f"replica {self.replica_id!r}: control op "
@@ -749,8 +748,7 @@ class ProcessReplica:
             )
             return False, None
         if decision.kind in (faults.LATENCY, faults.HANG):
-            if decision.latency_s > 0:
-                time.sleep(decision.latency_s)
+            MONOTONIC.sleep(decision.latency_s)
             return True, None
         # DROP and CORRUPT tag the pending record in _encode_and_send.
         return True, decision.kind

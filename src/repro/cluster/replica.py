@@ -35,6 +35,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from .. import faults
+from ..clock import MONOTONIC
 from ..faults import InjectedFault, TransientServiceError
 from ..service.model_registry import ModelEntry
 from ..service.server import EugeneService
@@ -65,7 +66,7 @@ def synthetic_work(seconds: float, kind: str = WORK_SLEEP) -> None:
         while time.perf_counter() < deadline:
             acc += 1.0  # pure-Python arithmetic: the GIL never drops
     else:
-        time.sleep(seconds)
+        MONOTONIC.sleep(seconds)
 
 
 class ReplicaDownError(TransientServiceError):
@@ -268,8 +269,7 @@ class ServiceReplica:
             return True
         if decision.kind == faults.LATENCY:
             # A slow beat still arrives — only non-latency faults miss.
-            if decision.latency_s > 0:
-                time.sleep(decision.latency_s)
+            MONOTONIC.sleep(decision.latency_s)
             return True
         return False
 
@@ -350,8 +350,7 @@ class ServiceReplica:
                 )
                 return True
             if decision.kind in (faults.LATENCY, faults.HANG):
-                if decision.latency_s > 0:
-                    time.sleep(decision.latency_s)
+                MONOTONIC.sleep(decision.latency_s)
             elif decision.kind == faults.DROP:
                 # The at-least-once hazard: execute, then lose the answer.
                 try:

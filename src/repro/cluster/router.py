@@ -74,7 +74,7 @@ from ..service.messages import (
 from ..service.model_registry import ModelEntry
 from ..service.server import IdempotencyCache
 from ..telemetry.metrics import BoundedLabels, MetricsRegistry
-from .clock import Clock, MonotonicClock, wait_until
+from ..clock import MONOTONIC, Clock, wait_until
 from .hashing import place
 from .health import STATUS_RANK, HealthConfig, ReplicaHealth
 from .proc_replica import ProcessReplica
@@ -184,7 +184,7 @@ class ServiceRouter:
         replicas: Sequence[ServiceReplica],
         config: Optional[RouterConfig] = None,
         admission: Optional[AdmissionController] = None,
-        clock: Optional[Clock] = None,
+        clock: Clock = MONOTONIC,
     ) -> None:
         if not replicas:
             raise ValueError("a router needs at least one replica")
@@ -193,7 +193,7 @@ class ServiceRouter:
             raise ValueError("replica ids must be unique")
         self.config = config or RouterConfig()
         self.admission = admission
-        self.clock = clock or MonotonicClock()
+        self.clock = clock
         self.replicas: Dict[str, ServiceReplica] = {
             r.replica_id: r for r in replicas
         }
@@ -1443,7 +1443,7 @@ def make_cluster(
     start_method: Optional[str] = None,
     arena_bytes: int = 8 << 20,
     auto_respawn: bool = False,
-    clock: Optional[Clock] = None,
+    clock: Clock = MONOTONIC,
 ) -> ServiceRouter:
     """Spin up ``num_replicas`` replicas behind a router.
 

@@ -36,12 +36,12 @@ from __future__ import annotations
 
 import math
 import threading
-import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 import numpy as np
 
+from ..clock import MONOTONIC
 from ..cluster import (
     PROCESS_BACKEND,
     THREAD_BACKEND,
@@ -190,9 +190,7 @@ def _drive_trace(
                     return
                 next_index[0] += 1
             scheduled = t0[0] + sends[idx]
-            delay = scheduled - time.perf_counter()
-            if delay > 0:
-                time.sleep(delay)
+            MONOTONIC.sleep(scheduled - MONOTONIC.now())
             request = ClassifyRequest(
                 model_id=gid, inputs=inputs[: config.batch_per_request]
             )
@@ -202,7 +200,7 @@ def _drive_trace(
                 with lock:
                     errors.append(repr(error))
                 continue
-            latency = time.perf_counter() - scheduled
+            latency = MONOTONIC.now() - scheduled
             with lock:
                 if isinstance(response, RejectedResponse):
                     shed[0] += 1
@@ -214,16 +212,14 @@ def _drive_trace(
     ]
     for t in threads:
         t.start()
-    t0[0] = time.perf_counter()
+    t0[0] = MONOTONIC.now()
     go.set()
 
     fleet_track: List[int] = []
     if autoscaler is not None:
         for i in range(config.steps):
             target = t0[0] + (i + 1) * config.step_s
-            pause = target - time.perf_counter()
-            if pause > 0:
-                time.sleep(pause)
+            MONOTONIC.sleep(target - MONOTONIC.now())
             autoscaler.step()
             fleet_track.append(
                 len(
@@ -236,7 +232,7 @@ def _drive_trace(
             )
     for t in threads:
         t.join(180.0)
-    wall_s = time.perf_counter() - t0[0]
+    wall_s = MONOTONIC.now() - t0[0]
 
     within = sum(1 for lat in latencies if lat <= config.latency_budget_s)
     total = len(sends)
@@ -388,7 +384,7 @@ def run_drain_chaos(
         clients = [threading.Thread(target=client) for _ in range(6)]
         for t in clients:
             t.start()
-        time.sleep(0.4)  # build up in-flight work everywhere
+        MONOTONIC.sleep(0.4)  # build up in-flight work everywhere
 
         victim = router.holders(gid)[0]
         victim_replica = router.replicas[victim]
@@ -404,10 +400,10 @@ def run_drain_chaos(
 
         drainer = threading.Thread(target=drain)
         drainer.start()
-        time.sleep(0.05)
+        MONOTONIC.sleep(0.05)
         victim_replica.kill()  # SIGKILL (process) / hard stop (thread)
         drainer.join(60.0)
-        time.sleep(0.3)  # keep traffic flowing on the survivors
+        MONOTONIC.sleep(0.3)  # keep traffic flowing on the survivors
         stop.set()
         for t in clients:
             t.join(30.0)

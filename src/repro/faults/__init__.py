@@ -31,10 +31,10 @@ the serving fast path (guarded by ``make bench-fast``) is untouched until a plan
 from __future__ import annotations
 
 import functools
-import time
 from contextlib import contextmanager
 from typing import Callable, Iterator, Optional
 
+from ..clock import MONOTONIC
 from .errors import (
     BackpressureError,
     CircuitOpenError,
@@ -121,8 +121,7 @@ def perform(decision: Optional[FaultDecision]) -> Optional[FaultDecision]:
     if decision is None:
         return None
     if decision.kind in (LATENCY, HANG):
-        if decision.latency_s > 0:
-            time.sleep(decision.latency_s)
+        MONOTONIC.sleep(decision.latency_s)
         return None
     if decision.kind == ERROR:
         raise TransientServiceError(

@@ -9,10 +9,10 @@ statistics.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional, TypeVar
 
+from ..clock import MONOTONIC, Clock
 from .errors import (
     BackpressureError,
     CircuitOpenError,
@@ -74,13 +74,13 @@ class RetryPolicy:
         within the ``timeout_s`` budget).  ``on_retry(attempt, error)`` is
         invoked before each backoff sleep (telemetry hooks plug in here).
         """
-        start = time.monotonic()
+        start = MONOTONIC.now()
         delays = self.delays()
         last_error: Exception
         for attempt in range(1, self.max_attempts + 1):
             if (
                 self.timeout_s is not None
-                and time.monotonic() - start > self.timeout_s
+                and MONOTONIC.now() - start > self.timeout_s
             ):
                 raise RequestTimeoutError(
                     f"request exceeded {self.timeout_s:g}s budget "
@@ -97,7 +97,7 @@ class RetryPolicy:
                     delay = max(delay, error.retry_after_s)
                 if (
                     self.timeout_s is not None
-                    and time.monotonic() - start + delay > self.timeout_s
+                    and MONOTONIC.now() - start + delay > self.timeout_s
                 ):
                     raise RequestTimeoutError(
                         f"request budget {self.timeout_s:g}s cannot cover the "
@@ -105,8 +105,7 @@ class RetryPolicy:
                     ) from error
                 if on_retry is not None:
                     on_retry(attempt, error)
-                if delay > 0:
-                    time.sleep(delay)
+                MONOTONIC.sleep(delay)
         raise RetriesExhaustedError(
             f"all {self.max_attempts} attempts failed "
             f"(last error: {last_error})",
@@ -134,7 +133,7 @@ class CircuitBreaker:
         self,
         failure_threshold: int = 5,
         cooldown_s: float = 0.05,
-        clock: Callable[[], float] = time.monotonic,
+        clock: Clock = MONOTONIC,
     ) -> None:
         if failure_threshold < 1:
             raise ValueError("failure_threshold must be >= 1")
@@ -151,7 +150,7 @@ class CircuitBreaker:
     def now(self) -> float:
         """The breaker's own (injectable) clock: what state changes are
         timed by, and what callers stamp trace events about them with."""
-        return self._clock()
+        return self._clock.now()
 
     @property
     def state(self) -> str:
@@ -162,7 +161,7 @@ class CircuitBreaker:
         if (
             self._state == OPEN
             and self._opened_at is not None
-            and self._clock() - self._opened_at >= self.cooldown_s
+            and self._clock.now() - self._opened_at >= self.cooldown_s
         ):
             self._state = HALF_OPEN
             self._probe_outstanding = False
@@ -193,7 +192,7 @@ class CircuitBreaker:
 
     def _trip(self) -> None:
         self._state = OPEN
-        self._opened_at = self._clock()
+        self._opened_at = self._clock.now()
         self._consecutive_failures = 0
         self._probe_outstanding = False
 

@@ -1,4 +1,4 @@
-"""Gen-2 imprecise-computation scheduling (ROADMAP item 4).
+"""Gen-2 imprecise-computation scheduling.
 
 The authors' follow-up paper ("Scheduling Real-time Deep Learning Services
 as Imprecise Computations") recasts a staged model as an *imprecise

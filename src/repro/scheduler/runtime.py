@@ -27,7 +27,10 @@ replica is a process, and inside one replica the stages run on the
 scheduler thread.  Under the GIL, worker threads would add hand-offs but
 no parallelism.  The paper's latency-constraint daemon is a role, not a
 thread: the sweep is the one place a deadline is compared against the
-clock, so a deadline is noticed at most one stage batch late.
+clock, so a deadline is noticed at most one stage batch late.  That clock
+is the runtime's injected :class:`~repro.clock.Clock` — real time by
+default; under a :class:`~repro.clock.VirtualClock` every deadline, stall
+and wait is virtual, and a run is a deterministic function of its inputs.
 
 Implemented in user space, no OS support needed — the portability argument
 of Section III.
@@ -65,7 +68,6 @@ process is a replica-level fault (``cluster.replica.call``).
 from __future__ import annotations
 
 import math
-import time
 from collections import deque
 from dataclasses import dataclass
 from typing import Deque, Dict, List, Optional, Tuple
@@ -74,6 +76,7 @@ import numpy as np
 
 from .. import faults, telemetry
 from ..admission import AdmissionConfig, expected_utility, select_shed
+from ..clock import MONOTONIC, Clock
 from ..nn import functional as F
 from ..nn.resnet import StagedResNet
 from .gen2 import replan
@@ -206,10 +209,12 @@ class StagedInferenceRuntime:
         model: StagedResNet,
         policy: SchedulingPolicy,
         config: Optional[RuntimeConfig] = None,
+        clock: Clock = MONOTONIC,
     ) -> None:
         self.model = model
         self.policy = policy
         self.config = config or RuntimeConfig()
+        self.clock = clock
         self._inputs: List[np.ndarray] = []
         #: (stage, task_ids) of every dispatched micro-batch, for the last
         #: :meth:`run_until_complete` call — introspection for tests/metrics.
@@ -297,7 +302,8 @@ class StagedInferenceRuntime:
             return []
         self.model.eval()
         cfg = self.config
-        t0 = time.monotonic()
+        clock = self.clock
+        t0 = clock.now()
         self.batch_log = []
         tel = telemetry.active()
 
@@ -328,23 +334,27 @@ class StagedInferenceRuntime:
             # Scored at the runtime's actual clock (non-zero once model
             # warm-up and record setup have run), not a hard-coded t=0.
             self._apply_admission(
-                records, cfg.admission, tel, now=time.monotonic() - t0
+                records, cfg.admission, tel, now=clock.now() - t0
             )
 
-        def expire_overdue(now: float) -> float:
+        def expire_overdue(now: float, at_deadline: bool = False) -> float:
             """The latency-constraint daemon of Section III, as a sweep.
 
             Closes every live task whose deadline has passed — the one place
             a deadline is compared against the clock — through the shared
             :func:`expire` (served best-so-far under the anytime contract,
-            else evicted).  Returns the seconds to the next live deadline
-            (``inf`` when no task is live).
+            else evicted).  A task is still live at its deadline instant
+            unless ``at_deadline``: nothing will run it any more.  Returns
+            the seconds to the next live deadline (``inf`` when no task is
+            live).
             """
             nearest = math.inf
             for record in records.values():
                 if record.done:
                     continue
-                if now <= record.deadline:
+                if now < record.deadline or (
+                    now == record.deadline and not at_deadline
+                ):
                     nearest = min(nearest, record.deadline)
                 else:
                     expire(record, now, cfg.anytime, tel, "runtime")
@@ -383,7 +393,7 @@ class StagedInferenceRuntime:
             return batch, stage
 
         while True:
-            now = time.monotonic() - t0
+            now = clock.now() - t0
             to_deadline = expire_overdue(now)
             if all(r.done for r in records.values()):
                 break
@@ -391,7 +401,8 @@ class StagedInferenceRuntime:
             if not batch:
                 # The policy will run none of the live tasks: all they can
                 # do is wait out their deadlines.
-                time.sleep(to_deadline)
+                clock.sleep(to_deadline)
+                expire_overdue(clock.now() - t0, at_deadline=True)
                 continue
             tids = tuple(batch)
             self.batch_log.append((stage, tids))
@@ -414,8 +425,8 @@ class StagedInferenceRuntime:
                         f"(invocation {decision.index})"
                     )
                 if decision.kind in (faults.LATENCY, faults.HANG):
-                    time.sleep(decision.latency_s)
-            start = time.perf_counter()
+                    clock.sleep(decision.latency_s)
+            start = clock.now()
             if stage == 0:
                 feats = self.model.infer_stem(
                     np.concatenate([inputs[tid] for tid in tids], axis=0)
@@ -429,14 +440,14 @@ class StagedInferenceRuntime:
             if decision is not None and decision.kind == faults.CORRUPT:
                 confidences = np.full_like(confidences, np.nan)
             if tel is not None:
-                elapsed_ms = 1e3 * (time.perf_counter() - start)
+                elapsed_ms = 1e3 * (clock.now() - start)
                 tel.registry.histogram(
                     f"runtime.stage_latency_ms.stage{stage}"
                 ).observe(elapsed_ms)
                 tel.registry.histogram("runtime.stage_latency_ms.all").observe(
                     elapsed_ms
                 )
-            now = time.monotonic() - t0
+            now = clock.now() - t0
             # A stage that finished past its task's deadline is discarded,
             # as the simulator does: the sweep closes the task first.
             expire_overdue(now)

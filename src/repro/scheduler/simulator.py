@@ -374,7 +374,7 @@ class PoolSimulator:
             else None
         )
         bucket = (
-            TokenBucket(adm.rate_limit_per_s, adm.burst, clock=lambda: 0.0)
+            TokenBucket(adm.rate_limit_per_s, adm.burst)
             if adm is not None and adm.rate_limit_per_s is not None
             else None
         )

@@ -37,6 +37,7 @@ import time
 from contextlib import contextmanager
 from typing import Callable, Iterator, Optional
 
+from ..clock import MONOTONIC
 from .export import render_text, to_dict, to_json
 from .metrics import BoundedLabels, Counter, Gauge, Histogram, MetricsRegistry
 from .trace import (
@@ -67,17 +68,17 @@ class Telemetry:
     def __init__(self, trace_capacity: int = 10000) -> None:
         self.registry = MetricsRegistry()
         self.trace = TraceLog(capacity=trace_capacity)
-        self._t0 = time.monotonic()
+        self._t0 = MONOTONIC.now()
 
     def now(self) -> float:
         """Seconds since the session started (or was last reset) — the
         clock for events that belong to no single episode."""
-        return time.monotonic() - self._t0
+        return MONOTONIC.now() - self._t0
 
     def reset(self) -> None:
         self.registry.reset()
         self.trace.clear()
-        self._t0 = time.monotonic()
+        self._t0 = MONOTONIC.now()
 
 
 #: The module-global session; ``None`` means telemetry is off.  Hot paths

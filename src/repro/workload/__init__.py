@@ -2,8 +2,8 @@
 
 The north star claims "heavy traffic from millions of users"; this
 package is the layer that makes the claim testable instead of a slogan
-(ROADMAP item 5, with IBM Deep Learning Service — PAPERS.md — as the
-reference shape for the multi-tenant cloud tier):
+(IBM Deep Learning Service — PAPERS.md — is the reference shape for the
+multi-tenant cloud tier):
 
 - :mod:`repro.workload.tenants` — tenant populations: per-tenant arrival
   rates, fair-share weights and endpoint mixes over all 11 service

@@ -1,25 +1,25 @@
-"""Regression tests for two admission-layer timekeeping bugs.
+"""Regression tests for admission-layer timekeeping bugs.
 
-Both were found preparing the million-request workload runs (long
-virtual-time horizons make clock mistakes visible):
+Found preparing the million-request workload runs (long virtual-time
+horizons make clock mistakes visible):
 
 - ``AdmissionController._reject`` stamped every rejection trace event at
   a hard-coded ``t=0.0`` instead of the decision time, collapsing any
   long-horizon rejection timeline into a single instant.
-- ``TokenBucket`` silently accepted interleaved internal-clock and
-  ``now=`` (virtual-time) decisions; the two timelines share no origin,
-  so each switch minted or destroyed tokens.
+- ``TokenBucket`` accepted interleaved internal-clock and ``now=``
+  (virtual-time) decisions; the two timelines share no origin, so each
+  switch minted or destroyed tokens.  The bucket now reads no clock at
+  all: every call passes ``now``.
+- ``TokenBucket`` moved its refill origin back to a stale ``now``, so a
+  later decision at the original instant refilled the same interval
+  twice.
 """
 
 import pytest
 
 from repro import telemetry
-from repro.admission import (
-    AdmissionController,
-    ClockSourceMixError,
-    EndpointLimits,
-    TokenBucket,
-)
+from repro.admission import AdmissionController, EndpointLimits, TokenBucket
+from repro.clock import VirtualClock
 from repro.telemetry.trace import ADMISSION_REJECT
 
 
@@ -52,57 +52,50 @@ class TestRejectTraceTimestamp:
             assert stamps == pytest.approx([11.0, 12.5, 17.25])
 
     def test_internal_clock_rejection_stamped_from_injected_clock(self):
-        wall = {"now": 100.0}
+        clock = VirtualClock(start=100.0)
         controller = AdmissionController(
             per_endpoint={"infer": EndpointLimits(rate_per_s=1.0, burst=1)},
-            clock=lambda: wall["now"],
+            clock=clock,
         )
         with telemetry.session() as tel:
             assert controller.admit("infer").admitted
-            wall["now"] = 100.25
+            clock.advance(0.25)
             assert not controller.admit("infer").admitted
             (event,) = _reject_events(tel)
             assert event.t == pytest.approx(100.25)
 
 
 class TestTokenBucketClockLatch:
-    """Pre-fix, these mixed-source calls silently returned a bool."""
-
-    def test_internal_then_external_raises(self):
-        bucket = TokenBucket(10.0)
-        assert bucket.try_acquire()
-        with pytest.raises(ClockSourceMixError):
-            bucket.try_acquire(now=1.0)
-
-    def test_external_then_internal_raises(self):
-        bucket = TokenBucket(10.0)
-        assert bucket.try_acquire(now=1.0)
-        with pytest.raises(ClockSourceMixError):
-            bucket.try_acquire()
-
-    def test_retry_after_latches_too(self):
-        bucket = TokenBucket(10.0)
-        bucket.retry_after(now=0.0)
-        with pytest.raises(ClockSourceMixError):
-            bucket.retry_after()
-        # The failed call must not have corrupted the latched timeline.
-        assert bucket.try_acquire(now=0.5)
+    """What the clock-source latch guarded and still holds now that every
+    call passes ``now``: one timeline per bucket, anchored at its first
+    decision."""
 
     def test_single_source_usage_unaffected(self):
-        internal = TokenBucket(1000.0)
-        for _ in range(5):
-            internal.try_acquire()
-        external = TokenBucket(1.0, burst=1)
-        assert external.try_acquire(now=0.0)
-        assert not external.try_acquire(now=0.5)
-        assert external.try_acquire(now=1.0)
+        bucket = TokenBucket(1.0, burst=1)
+        assert bucket.try_acquire(now=0.0)
+        assert not bucket.try_acquire(now=0.5)
+        assert bucket.try_acquire(now=1.0)
 
     def test_first_external_call_reanchors_the_timeline(self):
-        # The constructor stamps its refill origin from the internal
-        # clock; the first now= decision must restart the timeline at
-        # the caller's origin instead of treating the gap as elapsed
-        # refill time.
-        bucket = TokenBucket(1.0, burst=1, clock=lambda: -1e9)
-        assert bucket.try_acquire(now=0.0)
-        assert not bucket.try_acquire(now=0.25)
-        assert bucket.try_acquire(now=1.5)
+        # The first decision is the refill origin, wherever the caller's
+        # timeline starts: the time before it is not refill time.
+        bucket = TokenBucket(1.0, burst=1)
+        assert bucket.try_acquire(now=1000.0)
+        assert not bucket.try_acquire(now=1000.25)
+        assert bucket.try_acquire(now=1001.5)
+
+
+class TestTokenBucketStaleNow:
+    """Pre-fix, a stale ``now`` moved the refill origin back in time."""
+
+    def test_stale_now_mints_no_tokens(self):
+        bucket = TokenBucket(1.0, burst=1)
+        assert bucket.try_acquire(now=10.0)
+        bucket.retry_after(now=5.0)
+        assert not bucket.try_acquire(now=10.0)
+
+    def test_stale_now_still_sees_the_balance(self):
+        bucket = TokenBucket(2.0, burst=1)
+        assert bucket.try_acquire(now=10.0)
+        assert bucket.retry_after(now=5.0) == pytest.approx(0.5)
+        assert bucket.try_acquire(now=10.5)

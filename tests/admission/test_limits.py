@@ -3,6 +3,8 @@
 import threading
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.admission import ConcurrencyLimiter, TokenBucket
 
@@ -14,7 +16,7 @@ class TestTokenBucket:
     def test_burst_floor_is_one_token(self):
         # Sub-1/s rates must still admit a first request.
         assert TokenBucket(0.2).burst == 1.0
-        assert TokenBucket(0.2, clock=lambda: 0.0).try_acquire(now=0.0)
+        assert TokenBucket(0.2).try_acquire(now=0.0)
 
     def test_rejects_nonpositive_rate(self):
         with pytest.raises(ValueError):
@@ -27,7 +29,7 @@ class TestTokenBucket:
             TokenBucket(1.0, burst=0.5)
 
     def test_burst_then_refusal(self):
-        bucket = TokenBucket(1.0, burst=3, clock=lambda: 0.0)
+        bucket = TokenBucket(1.0, burst=3)
         assert [bucket.try_acquire(now=0.0) for _ in range(4)] == [
             True,
             True,
@@ -36,7 +38,7 @@ class TestTokenBucket:
         ]
 
     def test_refills_at_rate(self):
-        bucket = TokenBucket(2.0, burst=1, clock=lambda: 0.0)
+        bucket = TokenBucket(2.0, burst=1)
         assert bucket.try_acquire(now=0.0)
         assert not bucket.try_acquire(now=0.0)
         # 2 tokens/s: half a second buys one token back.
@@ -44,7 +46,7 @@ class TestTokenBucket:
         assert not bucket.try_acquire(now=0.5)
 
     def test_refill_caps_at_burst(self):
-        bucket = TokenBucket(10.0, burst=2, clock=lambda: 0.0)
+        bucket = TokenBucket(10.0, burst=2)
         assert bucket.tokens == 2.0
         bucket.try_acquire(now=0.0)
         # A long idle period refills to burst, never beyond.
@@ -52,24 +54,54 @@ class TestTokenBucket:
         assert bucket.tokens == pytest.approx(1.0)
 
     def test_retry_after_converts_deficit_to_seconds(self):
-        bucket = TokenBucket(4.0, burst=1, clock=lambda: 0.0)
+        bucket = TokenBucket(4.0, burst=1)
         assert bucket.retry_after(now=0.0) == 0.0
         bucket.try_acquire(now=0.0)
         # Empty bucket at 4 tokens/s: one token is 0.25 s away.
         assert bucket.retry_after(now=0.0) == pytest.approx(0.25)
 
     def test_retry_after_shrinks_as_time_passes(self):
-        bucket = TokenBucket(4.0, burst=1, clock=lambda: 0.0)
+        bucket = TokenBucket(4.0, burst=1)
         bucket.try_acquire(now=0.0)
         assert bucket.retry_after(now=0.125) == pytest.approx(0.125)
 
     def test_virtual_time_is_deterministic(self):
-        a = TokenBucket(3.0, burst=2, clock=lambda: 0.0)
-        b = TokenBucket(3.0, burst=2, clock=lambda: 0.0)
+        a = TokenBucket(3.0, burst=2)
+        b = TokenBucket(3.0, burst=2)
         times = [0.0, 0.1, 0.15, 0.5, 0.6, 2.0, 2.01]
         assert [a.try_acquire(now=t) for t in times] == [
             b.try_acquire(now=t) for t in times
         ]
+
+
+#: One bucket operation at one timestamp, ``now`` in any order.
+OPS = st.lists(
+    st.tuples(
+        st.sampled_from(["try_acquire", "charge", "retry_after"]),
+        st.floats(0.0, 100.0, allow_nan=False),
+    ),
+    min_size=1,
+    max_size=60,
+)
+
+
+class TestTokenBucketProperties:
+    @given(
+        ops=OPS,
+        rate=st.floats(0.1, 50.0),
+        burst=st.floats(1.0, 20.0),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_never_mints_more_than_the_timeline_allows(self, ops, rate, burst):
+        bucket = TokenBucket(rate, burst=burst)
+        admitted = 0
+        for op, now in ops:
+            result = getattr(bucket, op)(now=now)
+            admitted += result is True
+            assert bucket.tokens <= burst
+        first = ops[0][1]
+        span = max(now for _, now in ops) - first
+        assert admitted <= burst + rate * span + 1e-9
 
 
 class TestConcurrencyLimiter:

@@ -10,6 +10,7 @@ choosing timestamps, which is the point of building the controller as
 
 import pytest
 
+from repro.clock import VirtualClock, wait_until
 from repro.cluster import (
     HOLD,
     SCALE_DOWN,
@@ -17,7 +18,6 @@ from repro.cluster import (
     AutoscalerConfig,
     ControllerState,
     LoadSnapshot,
-    VirtualClock,
     decide,
 )
 
@@ -339,15 +339,9 @@ class TestVirtualClock:
         with pytest.raises(ValueError):
             virtual_clock.advance(-1.0)
 
-    def test_callable_alias_matches_now(self, virtual_clock):
-        virtual_clock.advance(5.0)
-        assert virtual_clock() == virtual_clock.now() == 5.0
-
     def test_wait_until_on_virtual_clock_needs_no_real_time(
         self, virtual_clock
     ):
-        from repro.cluster import wait_until
-
         seen = []
 
         def predicate():

@@ -12,14 +12,13 @@ import threading
 
 import pytest
 
+from repro.clock import VirtualClock, wait_until
 from repro.cluster import (
     Autoscaler,
     AutoscalerConfig,
     RouterConfig,
-    VirtualClock,
     make_cluster,
     make_replica,
-    wait_until,
 )
 from repro.service import ClassifyRequest
 

@@ -35,7 +35,7 @@ LABELS = rng.integers(0, 3, size=12)
 
 
 # Bounded polling for real child-process transitions (see tests/conftest.py).
-from repro.cluster import wait_until  # noqa: E402
+from repro.clock import wait_until  # noqa: E402
 
 
 @pytest.fixture(scope="module")

@@ -21,14 +21,13 @@ import numpy as np
 import pytest
 
 from repro import faults, telemetry
+from repro.clock import VirtualClock, wait_until
 from repro.cluster import (
     HEARTBEAT_SITE,
     Autoscaler,
     AutoscalerConfig,
     RouterConfig,
-    VirtualClock,
     make_cluster,
-    wait_until,
 )
 from repro.faults import FaultPlan, FaultSpec
 from repro.nn.data import Dataset

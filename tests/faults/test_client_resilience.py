@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from repro import faults, telemetry
-from repro.cluster.clock import VirtualClock
+from repro.clock import VirtualClock
 from repro.faults import (
     CircuitBreaker,
     CircuitOpenError,

@@ -72,7 +72,7 @@ def proc_cluster(n, **kwargs):
 
 
 # Bounded polling for real child-process transitions (see tests/conftest.py).
-from repro.cluster import wait_until  # noqa: E402
+from repro.clock import wait_until  # noqa: E402
 
 
 class TestShmCorruption:

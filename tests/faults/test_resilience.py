@@ -4,6 +4,7 @@ import itertools
 
 import pytest
 
+from repro.clock import VirtualClock
 from repro.faults import (
     CLOSED,
     HALF_OPEN,
@@ -107,11 +108,6 @@ class TestRetryPolicyCall:
         assert seen == [1, 2]
 
 
-# The shared virtual clock doubles as the bare ``clock=`` callable the
-# breaker takes (calling the instance returns now()).
-from repro.cluster import VirtualClock as FakeClock  # noqa: E402
-
-
 class TestCircuitBreaker:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -125,7 +121,7 @@ class TestCircuitBreaker:
         assert b.allow()
 
     def test_opens_after_consecutive_failures(self):
-        b = CircuitBreaker(failure_threshold=3, clock=FakeClock())
+        b = CircuitBreaker(failure_threshold=3, clock=VirtualClock())
         for _ in range(2):
             b.record_failure()
         assert b.state == CLOSED
@@ -134,14 +130,14 @@ class TestCircuitBreaker:
         assert not b.allow()
 
     def test_success_resets_the_streak(self):
-        b = CircuitBreaker(failure_threshold=2, clock=FakeClock())
+        b = CircuitBreaker(failure_threshold=2, clock=VirtualClock())
         b.record_failure()
         b.record_success()
         b.record_failure()
         assert b.state == CLOSED  # streak broken; needs 2 consecutive
 
     def test_guard_raises_when_open(self):
-        clock = FakeClock()
+        clock = VirtualClock()
         b = CircuitBreaker(failure_threshold=1, cooldown_s=10.0, clock=clock)
         b.record_failure()
         with pytest.raises(CircuitOpenError):
@@ -150,7 +146,7 @@ class TestCircuitBreaker:
         b.guard("classify")  # no raise
 
     def test_half_open_after_cooldown_admits_single_probe(self):
-        clock = FakeClock()
+        clock = VirtualClock()
         b = CircuitBreaker(failure_threshold=1, cooldown_s=1.0, clock=clock)
         b.record_failure()
         assert not b.allow()
@@ -160,7 +156,7 @@ class TestCircuitBreaker:
         assert not b.allow()   # only one probe at a time
 
     def test_probe_success_closes(self):
-        clock = FakeClock()
+        clock = VirtualClock()
         b = CircuitBreaker(failure_threshold=1, cooldown_s=1.0, clock=clock)
         b.record_failure()
         clock.advance(2.0)
@@ -170,7 +166,7 @@ class TestCircuitBreaker:
         assert b.allow()
 
     def test_probe_failure_reopens_for_another_cooldown(self):
-        clock = FakeClock()
+        clock = VirtualClock()
         b = CircuitBreaker(failure_threshold=1, cooldown_s=1.0, clock=clock)
         b.record_failure()
         clock.advance(2.0)

@@ -15,6 +15,8 @@ from repro.scheduler import (
     StagedInferenceRuntime,
 )
 
+from .stage_clock import on_virtual_clock
+
 
 TINY = StagedResNetConfig(
     num_classes=4, image_size=8, stage_channels=(4, 8), blocks_per_stage=1, seed=0
@@ -75,10 +77,13 @@ class TestStagedInferenceRuntime:
 
     def test_tight_deadline_evicts_some_tasks(self, served_model):
         model, predictor, test_set = served_model
+        # 1 ms per stage: two of the 12 x 2 stages fit in the 2 ms budget.
+        costed, clock = on_virtual_clock(model, 0.001)
         runtime = StagedInferenceRuntime(
-            model,
+            costed,
             RoundRobinPolicy(),
             RuntimeConfig(latency_constraint=0.002),
+            clock=clock,
         )
         runtime.submit(test_set.inputs[:12])
         results = runtime.run_until_complete()

@@ -15,7 +15,12 @@ from repro.scheduler.policies import RoundRobinPolicy
 from repro.scheduler.runtime import RuntimeConfig, StagedInferenceRuntime
 from repro.telemetry.trace import DEGRADED
 
+from .stage_clock import on_virtual_clock
 from .trace_invariants import check_lifecycle
+
+#: Virtual seconds per stage batch: 20 stages fit in the 20 ms constraint
+#: below, so most of the 96 tasks are still waiting when it expires.
+STAGE_COST_S = 0.001
 
 
 @pytest.fixture(scope="module")
@@ -36,11 +41,13 @@ class TestRuntimeAnytime:
         # one of two stages when the constraint expires.
         inputs = np.random.default_rng(1).normal(size=(96, 3, 16, 16))
         constraint = 0.02
+        model, clock = on_virtual_clock(small_model, STAGE_COST_S)
         with telemetry.session() as t:
             runtime = StagedInferenceRuntime(
-                small_model,
+                model,
                 RoundRobinPolicy(),
                 RuntimeConfig(latency_constraint=constraint, anytime=True),
+                clock=clock,
             )
             runtime.submit(inputs)
             results = runtime.run_until_complete()
@@ -77,10 +84,12 @@ class TestRuntimeAnytime:
 
     def test_anytime_off_preserves_legacy_eviction(self, small_model):
         inputs = np.random.default_rng(2).normal(size=(96, 3, 16, 16))
+        model, clock = on_virtual_clock(small_model, STAGE_COST_S)
         runtime = StagedInferenceRuntime(
-            small_model,
+            model,
             RoundRobinPolicy(),
             RuntimeConfig(latency_constraint=0.02, anytime=False),
+            clock=clock,
         )
         runtime.submit(inputs)
         results = runtime.run_until_complete()

@@ -25,6 +25,8 @@ from repro.scheduler.runtime import (
 )
 from repro.scheduler.task import StageOutcome, TaskRecord
 
+from .stage_clock import on_virtual_clock
+
 
 def _record(tid, stages_done=0, num_stages=3, evicted=False):
     record = TaskRecord(
@@ -162,16 +164,22 @@ class TestBatchedRuntimeEquivalence:
         """Under an impossible deadline, dispatched batches must only ever
         contain tasks that were live at formation time; an evicted task may
         finish an in-flight stage but never join a *new* batch."""
+        # 7 ms per batch: the three stage-0 batches and one stage-1 batch
+        # finish inside the 30 ms constraint, the next stage-1 batch lands
+        # after it and is discarded.
+        model, clock = on_virtual_clock(small_model, 0.007)
         runtime = StagedInferenceRuntime(
-            small_model,
+            model,
             RoundRobinPolicy(),
             RuntimeConfig(latency_constraint=0.03, max_batch=4),
+            clock=clock,
         )
         runtime.submit(np.asarray(inputs))
         results = runtime.run_until_complete()
         evicted = {r.task_id for r in results if r.evicted}
-        # The run is timing-dependent, but the accounting must always hold:
-        # a task's executed stages are exactly the batches it was part of.
+        assert 0 < len(evicted) < len(results)
+        # The accounting must always hold: a task's executed stages are
+        # exactly the batches it was part of.
         per_task = {r.task_id: [o.stage for o in r.outcomes] for r in results}
         dispatched = {tid: [] for tid in per_task}
         for stage, tids in runtime.batch_log:

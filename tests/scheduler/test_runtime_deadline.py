@@ -8,27 +8,35 @@ whose deadline passed while it waited in the timeline, or while a stage
 stalled, must be evicted (or served best-so-far under ``anytime``) and
 never dispatched; a stage result that lands after the deadline is
 discarded.
+
+The overrun tests run on a virtual clock at a fixed cost per stage batch
+(:mod:`.stage_clock`), so the workload overruns its constraint on any
+host.
 """
 
 import threading
+import time
 
 import numpy as np
 import pytest
 
 from repro import faults, telemetry
+from repro.clock import VirtualClock
 from repro.nn.resnet import StagedResNet, StagedResNetConfig
-from repro.scheduler.policies import FIFOPolicy, RoundRobinPolicy
+from repro.scheduler.policies import FIFOPolicy, RoundRobinPolicy, SchedulingPolicy
 from repro.scheduler.runtime import RuntimeConfig, StagedInferenceRuntime
 from repro.service.messages import InferRequest
 from repro.telemetry.trace import DEADLINE_MISS, STAGE_DISPATCH
 
+from .stage_clock import on_virtual_clock
 from .trace_invariants import check_lifecycle
+
+#: Virtual seconds per stage batch in the overrun tests.
+STAGE_COST_S = 0.002
 
 
 @pytest.fixture(scope="module")
 def small_model():
-    # Heavy enough (16x16 inputs, 8/16 channels) that a backlog of tasks
-    # reliably overruns the tight constraints below on this hardware.
     model = StagedResNet(
         StagedResNetConfig(
             num_classes=5, image_size=16, stage_channels=(8, 16), blocks_per_stage=1
@@ -66,10 +74,12 @@ class TestDispatchTimeDeadlineCheck:
     def test_overdue_tasks_evicted_not_dispatched(self, small_model):
         """Expired tasks are evicted by the sweep, never dispatched."""
         inputs = np.random.default_rng(1).normal(size=(192, 3, 16, 16))
+        model, clock = on_virtual_clock(small_model, STAGE_COST_S)
         runtime = StagedInferenceRuntime(
-            small_model,
+            model,
             FIFOPolicy(),
             RuntimeConfig(latency_constraint=0.03),
+            clock=clock,
         )
         runtime.submit(inputs)
         results = runtime.run_until_complete()
@@ -86,11 +96,13 @@ class TestDispatchTimeDeadlineCheck:
         deadline at dispatch time."""
         inputs = np.random.default_rng(2).normal(size=(96, 3, 16, 16))
         constraint = 0.03
+        model, clock = on_virtual_clock(small_model, STAGE_COST_S)
         with telemetry.session() as t:
             runtime = StagedInferenceRuntime(
-                small_model,
+                model,
                 RoundRobinPolicy(),
                 RuntimeConfig(latency_constraint=constraint, max_batch=4),
+                clock=clock,
             )
             runtime.submit(inputs)
             results = runtime.run_until_complete()
@@ -101,7 +113,8 @@ class TestDispatchTimeDeadlineCheck:
                     f"batch {event.task_ids} dispatched at {event.t:.4f}s, "
                     f"after the {constraint}s deadline"
                 )
-            # The workload overruns the constraint, so misses were traced.
+            # 48 stage batches of 2 ms overrun the constraint, so misses
+            # were traced.
             assert any(r.evicted for r in results)
             misses = t.trace.events(DEADLINE_MISS)
             assert {e.task_id for e in misses} == {
@@ -125,6 +138,32 @@ class TestDispatchTimeDeadlineCheck:
         results = runtime.run_until_complete()
         assert all(not r.evicted for r in results)
         assert all(len(r.outcomes) == small_model.num_stages for r in results)
+
+    def test_policy_that_plans_nothing_waits_out_the_deadlines(self, small_model):
+        """No batch to run: the loop sleeps to the nearest deadline, and
+        every task is evicted there — on a virtual clock, without spinning
+        on the deadline instant."""
+
+        class PlansNothing(SchedulingPolicy):
+            def plan(self, tasks, now):
+                return []
+
+        constraint = 5.0
+        runtime = StagedInferenceRuntime(
+            small_model,
+            PlansNothing(),
+            RuntimeConfig(latency_constraint=constraint),
+            clock=VirtualClock(),
+        )
+        runtime.submit(np.random.default_rng(5).normal(size=(4, 3, 16, 16)))
+        start = time.perf_counter()
+        with telemetry.session() as tel:
+            results = runtime.run_until_complete()
+            check_lifecycle(tel.trace, num_stages=small_model.num_stages)
+        assert time.perf_counter() - start < 1.0
+        assert runtime.batch_log == []
+        assert all(r.evicted and not r.outcomes for r in results)
+        assert [r.elapsed for r in results] == [constraint] * 4
 
     def test_stall_never_delays_sweep(self, small_model, monkeypatch):
         """A stage stalls past the constraint: its result is discarded and

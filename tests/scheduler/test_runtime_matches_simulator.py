@@ -1,8 +1,8 @@
 """Differential test: the live runtime and the simulator agree on every task.
 
-The runtime's ``time`` module is replaced by a :class:`VirtualClock`, and
-its model by a stub whose every stage call advances that clock by 1.0 s
-and answers from a :class:`TaskOracle` table.  The same tasks then run
+The runtime runs on a :class:`VirtualClock`, and its model is a stub
+whose every stage call advances that clock by 1.0 s and answers from a
+:class:`TaskOracle` table.  The same tasks then run
 through the discrete-event simulator with one worker, every task admitted
 at once and no doomed-stage skipping — the runtime's own rules — so both
 drivers see the same clock, the same stage costs and the same policy.
@@ -20,13 +20,11 @@ Out of the grid, on purpose:
   batches.
 """
 
-import types
-
 import numpy as np
 import pytest
 
 from repro import telemetry
-from repro.cluster.clock import VirtualClock
+from repro.clock import VirtualClock
 from repro.scheduler import (
     EDFPolicy,
     FIFOPolicy,
@@ -37,7 +35,6 @@ from repro.scheduler import (
     SimulationConfig,
     TaskOracle,
 )
-from repro.scheduler import runtime as runtime_module
 from repro.scheduler.runtime import RuntimeConfig, StagedInferenceRuntime
 
 from .trace_invariants import check_lifecycle
@@ -101,19 +98,13 @@ class OracleModel:
         return feats, logits
 
 
-def run_runtime(policy, deadline, anytime, monkeypatch):
+def run_runtime(policy, deadline, anytime):
     clock = VirtualClock()
-    monkeypatch.setattr(
-        runtime_module,
-        "time",
-        types.SimpleNamespace(
-            monotonic=clock.now, perf_counter=clock.now, sleep=clock.sleep
-        ),
-    )
     runtime = StagedInferenceRuntime(
         OracleModel(clock),
         policy,
         RuntimeConfig(latency_constraint=deadline, anytime=anytime),
+        clock=clock,
     )
     runtime.submit(np.arange(NUM_TASKS, dtype=float).reshape(NUM_TASKS, 1, 1, 1))
     with telemetry.session() as tel:
@@ -149,10 +140,8 @@ def outcome(task):
 @pytest.mark.parametrize("anytime", [False, True], ids=["evict", "anytime"])
 @pytest.mark.parametrize("deadline", [8.0, 20.0, 100.0])
 @pytest.mark.parametrize("policy", sorted(POLICIES))
-def test_runtime_matches_simulator(policy, deadline, anytime, monkeypatch):
-    live, live_terminal = run_runtime(
-        POLICIES[policy](), deadline, anytime, monkeypatch
-    )
+def test_runtime_matches_simulator(policy, deadline, anytime):
+    live, live_terminal = run_runtime(POLICIES[policy](), deadline, anytime)
     simulated, simulated_terminal = run_simulator(
         POLICIES[policy](), deadline, anytime
     )
