@@ -21,10 +21,10 @@ table of nominal-vs-empirical coverage per weight.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from statistics import NormalDist
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.stats import norm
 
 from ..nn.layers import Dense, Module, ReLU, Sequential
 from ..nn.losses import gaussian_nll_mse, mse
@@ -113,7 +113,7 @@ def interval_coverage(
     mean = np.asarray(mean, dtype=np.float64)
     std = np.asarray(std, dtype=np.float64)
     targets = np.asarray(targets, dtype=np.float64).reshape(mean.shape)
-    z = norm.ppf(0.5 + nominal / 2.0)
+    z = NormalDist().inv_cdf(0.5 + nominal / 2.0)
     inside = np.abs(targets - mean) <= z * std
     return float(inside.mean())
 

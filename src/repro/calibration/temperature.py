@@ -8,10 +8,38 @@ scalar T rescales the logits, fit by minimizing NLL on a held-out split.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
-from scipy.optimize import minimize_scalar
+
+_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def _golden_section_min(
+    f: Callable[[float], float], lo: float, hi: float, tol: float = 1e-6
+) -> float:
+    """Argmin of a unimodal ``f`` on ``[lo, hi]``, to within ``tol``.
+
+    Each step keeps the sub-bracket holding the lower of two interior
+    probes and reuses the other probe, so it costs one evaluation and
+    shrinks the bracket by the golden ratio; an optimum at an edge of
+    ``[lo, hi]`` pulls the bracket onto that edge.
+    """
+    a, b = lo, hi
+    c, d = b - _INV_PHI * (b - a), a + _INV_PHI * (b - a)
+    fc, fd = f(c), f(d)
+    while b - a > tol:
+        if fc <= fd:
+            b, d, fd = d, c, fc
+            c = b - _INV_PHI * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + _INV_PHI * (b - a)
+            fd = f(d)
+    return (a + b) / 2.0
 
 
 def _nll_at_temperature(logits: np.ndarray, labels: np.ndarray, temperature: float) -> float:
@@ -35,12 +63,11 @@ class TemperatureScaler:
         labels = np.asarray(labels, dtype=np.int64)
         if logits.ndim != 2 or len(logits) != len(labels):
             raise ValueError("logits must be (N, C) matching labels (N,)")
-        result = minimize_scalar(
+        self.temperature = _golden_section_min(
             lambda t: _nll_at_temperature(logits, labels, t),
-            bounds=(1e-2, self.max_temperature),
-            method="bounded",
+            1e-2,
+            self.max_temperature,
         )
-        self.temperature = float(result.x)
         self.fitted = True
         return self
 

@@ -753,11 +753,11 @@ def _workload_main(argv) -> int:
         weights={s.name: s.weight for s in specs},
         seed=args.seed,
     )
-    import time as _time
+    from .clock import stopwatch
 
-    t0 = _time.perf_counter()
+    run_time = stopwatch()
     report = engine.run(trace)
-    elapsed = _time.perf_counter() - t0
+    elapsed = run_time()
 
     failures = []
     if not report.accounting_exact:

@@ -3,15 +3,16 @@
 Every time-dependent decision in the package (deadlines, cooldowns,
 hysteresis windows, retry backoffs, injected stalls) reads time through a
 :class:`Clock`, never through :mod:`time` directly — a guard test fails on
-``time.monotonic`` / ``time.time`` / ``time.sleep`` anywhere else.  A
-component either owns a ``Clock`` (defaulting to the shared
+``time.monotonic`` / ``time.time`` / ``time.sleep`` / ``time.perf_counter``
+anywhere else.  A component either owns a ``Clock`` (defaulting to the shared
 :data:`MONOTONIC`) or is handed ``now`` by its caller; the token bucket is
 the second kind.  Tests get :class:`VirtualClock`, where time only moves
 when the test says so — a decision becomes a pure function of its inputs
 and the virtual now, and a suite runs without a single real sleep.
 
-``time.perf_counter`` stays legal as a stopwatch for measured durations:
-it never decides anything.
+Measured durations (latency histograms, experiment wall times) come from
+:func:`stopwatch`, the one reader of ``time.perf_counter``: a stopwatch
+reports how long something took and never decides anything.
 
 :func:`wait_until` is the bounded-polling companion for conditions that
 *do* involve real concurrency (a child process dying, a queue draining).
@@ -82,6 +83,12 @@ class VirtualClock(Clock):
         if seconds < 0:
             raise ValueError("cannot sleep a negative duration")
         self.advance(seconds)
+
+
+def stopwatch() -> Callable[[], float]:
+    """Start a stopwatch; calling the result gives the seconds since."""
+    start = time.perf_counter()
+    return lambda: time.perf_counter() - start
 
 
 def wait_until(

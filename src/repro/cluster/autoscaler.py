@@ -38,11 +38,10 @@ from __future__ import annotations
 
 import itertools
 import threading
-import time
 from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Optional, Tuple
 
-from ..clock import MONOTONIC, Clock
+from ..clock import MONOTONIC, Clock, stopwatch
 
 #: Decision actions.
 SCALE_UP = "scale_up"
@@ -426,14 +425,14 @@ class Autoscaler:
         """
         added: List[str] = []
         for _ in range(max(0, amount)):
-            start = time.perf_counter()
+            elapsed = stopwatch()
             if self._prewarm:
                 replica, source = self._prewarm.pop(0), "prewarmed"
             else:
                 replica, source = self._spawn(), "spawned"
             self.router.add_replica(replica)
             moved = self.router.rebalance()
-            elapsed_ms = (time.perf_counter() - start) * 1000.0
+            elapsed_ms = elapsed() * 1000.0
             self.router.metrics.histogram(
                 f"autoscaler.cold_start_ms.{source}", lo=1e-3
             ).observe(elapsed_ms)
@@ -493,11 +492,11 @@ class Autoscaler:
 
     def _refill_prewarm(self) -> None:
         while len(self._prewarm) < self.config.prewarm_pool_size:
-            start = time.perf_counter()
+            elapsed = stopwatch()
             self._prewarm.append(self._spawn())
             self.router.metrics.histogram(
                 "autoscaler.prewarm_spawn_ms", lo=1e-3
-            ).observe((time.perf_counter() - start) * 1000.0)
+            ).observe(elapsed() * 1000.0)
 
     def _park_idle(self) -> None:
         ttl = self.config.idle_model_ttl_s

@@ -41,14 +41,13 @@ import multiprocessing as mp
 import os
 import queue
 import threading
-import time
 from concurrent.futures import Future
 from dataclasses import dataclass, field
 from multiprocessing.connection import wait as _connection_wait
 from typing import Any, Dict, List, Optional, Tuple
 
 from .. import faults
-from ..clock import MONOTONIC, wait_until
+from ..clock import MONOTONIC, stopwatch, wait_until
 from ..faults import TransientServiceError
 from ..service.model_registry import ModelEntry
 from ..service.server import EugeneService
@@ -105,8 +104,12 @@ def _mp_context(method: Optional[str] = None):
             context = mp.get_context(method)
             if method == "forkserver":
                 try:
+                    # Load once in the template what every child would
+                    # otherwise import at boot: numpy.random (numpy loads it
+                    # on first use; each child seeds a generator) and
+                    # pkgutil (runpy's re-run of the parent's main script).
                     context.set_forkserver_preload(
-                        ["repro.cluster.proc_replica"]
+                        ["repro.cluster.proc_replica", "numpy.random", "pkgutil"]
                     )
                 except Exception:  # pragma: no cover - preload is advisory
                     pass
@@ -246,13 +249,13 @@ def _child_main(spec: _ChildSpec, work_recv, res_send, ctrl_conn) -> None:
             release(msg.seq)
             continue
         assert isinstance(msg, CallMsg)
-        start = time.perf_counter()
+        elapsed = stopwatch()
         try:
             request = decode_payload(msg.payload, req_arena, copy_arrays=True)
             synthetic_work(spec.synthetic_work_s, spec.work_kind)
             with registry_lock:
                 response = getattr(service, msg.endpoint)(request)
-            elapsed_ms = (time.perf_counter() - start) * 1000.0
+            elapsed_ms = elapsed() * 1000.0
             metrics.counter(f"replica.calls.{msg.endpoint}").inc()
             metrics.histogram(
                 "replica.latency_ms", lo=_LATENCY_LO_MS

@@ -29,13 +29,12 @@ from __future__ import annotations
 import copy
 import queue
 import threading
-import time
 from concurrent.futures import Future
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .. import faults
-from ..clock import MONOTONIC
+from ..clock import MONOTONIC, stopwatch
 from ..faults import InjectedFault, TransientServiceError
 from ..service.model_registry import ModelEntry
 from ..service.server import EugeneService
@@ -61,9 +60,9 @@ def synthetic_work(seconds: float, kind: str = WORK_SLEEP) -> None:
     if seconds <= 0:
         return
     if kind == WORK_SPIN:
-        deadline = time.perf_counter() + seconds
+        elapsed = stopwatch()
         acc = 0.0
-        while time.perf_counter() < deadline:
+        while elapsed() < seconds:
             acc += 1.0  # pure-Python arithmetic: the GIL never drops
     else:
         MONOTONIC.sleep(seconds)
@@ -86,7 +85,6 @@ class _Item:
     endpoint: Optional[str] = None
     request: object = None
     fn: Optional[Callable[[], object]] = None
-    enqueued_at: float = field(default_factory=time.perf_counter)
 
 
 _STOP = object()
@@ -378,10 +376,10 @@ class ServiceReplica:
         return True
 
     def _serve(self, item: _Item):
-        start = time.perf_counter()
+        elapsed = stopwatch()
         synthetic_work(self.synthetic_work_s, self.work_kind)
         result = getattr(self.service, item.endpoint)(item.request)
-        elapsed_ms = (time.perf_counter() - start) * 1000.0
+        elapsed_ms = elapsed() * 1000.0
         self.metrics.counter(f"replica.calls.{item.endpoint}").inc()
         self.metrics.histogram(
             "replica.latency_ms", lo=_LATENCY_LO_MS

@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import itertools
 import threading
-import time
 from concurrent.futures import TimeoutError as FutureTimeoutError
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
@@ -74,7 +73,7 @@ from ..service.messages import (
 from ..service.model_registry import ModelEntry
 from ..service.server import IdempotencyCache
 from ..telemetry.metrics import BoundedLabels, MetricsRegistry
-from ..clock import MONOTONIC, Clock, wait_until
+from ..clock import MONOTONIC, Clock, stopwatch, wait_until
 from .hashing import place
 from .health import STATUS_RANK, HealthConfig, ReplicaHealth
 from .proc_replica import ProcessReplica
@@ -1022,7 +1021,7 @@ class ServiceRouter:
                     ),
                 )
             gate = (endpoint, model_id, tenant)
-        start = time.perf_counter() if tlabel is not None else 0.0
+        elapsed = stopwatch()
         try:
             response = handler()
         finally:
@@ -1037,7 +1036,7 @@ class ServiceRouter:
                 self.metrics.counter(f"router.tenant.served.{tlabel}").inc()
                 self.metrics.histogram(
                     f"router.tenant.latency_ms.{tlabel}"
-                ).observe(1e3 * (time.perf_counter() - start))
+                ).observe(1e3 * elapsed())
         if key is not None and not isinstance(response, RejectedResponse):
             self._dedup.put(endpoint, key, response)
         return response
@@ -1086,7 +1085,7 @@ class ServiceRouter:
                 continue
             replica = self.replicas[rid]
             health = self.health[rid]
-            start = time.perf_counter()
+            call_time = stopwatch()
             try:
                 result = replica.call(
                     endpoint, request, timeout=self.config.call_timeout_s
@@ -1112,7 +1111,7 @@ class ServiceRouter:
                 self.metrics.counter("router.failovers").inc()
                 last_error = error
                 continue
-            elapsed = time.perf_counter() - start
+            elapsed = call_time()
             if isinstance(result, RejectedResponse):
                 # Backpressure is the replica protecting itself, not a
                 # failure: keep its health intact, try another holder.

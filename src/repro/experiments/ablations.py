@@ -10,12 +10,12 @@
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Dict, List
 
 import numpy as np
 
+from ..clock import stopwatch
 from ..collaborative import (
     CollaborativePipeline,
     ResilienceMonitor,
@@ -172,12 +172,12 @@ def run_gp_approx_ablation(
     max_dev = float(np.abs(pl(grid) - gp_mean).max())
 
     queries = rng.uniform(0, 1, num_queries)
-    t0 = time.perf_counter()
+    elapsed = stopwatch()
     gp.predict(queries)
-    gp_time = time.perf_counter() - t0
-    t0 = time.perf_counter()
+    gp_time = elapsed()
+    elapsed = stopwatch()
     pl(queries)
-    pl_time = time.perf_counter() - t0
+    pl_time = elapsed()
     return {
         "max_abs_deviation": max_dev,
         "gp_time_s": gp_time,

@@ -31,12 +31,12 @@ from __future__ import annotations
 
 import os
 import threading
-import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from ..clock import stopwatch
 from ..cluster import (
     PROCESS_BACKEND,
     THREAD_BACKEND,
@@ -182,10 +182,10 @@ def _drive(
     for t in threads:
         t.start()
     started.wait()
-    start = time.perf_counter()
+    elapsed = stopwatch()
     for t in threads:
         t.join(60.0)
-    wall_s = time.perf_counter() - start
+    wall_s = elapsed()
     return {
         "requests": total,
         "served": len(utilities),

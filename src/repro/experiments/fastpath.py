@@ -17,12 +17,12 @@ the quantity the micro-batching scheduler trades latency against.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 import numpy as np
 
+from ..clock import stopwatch
 from ..nn import functional as F
 from ..nn.tensor import Tensor
 from .common import BenchmarkArtifacts, get_benchmark_artifacts
@@ -40,9 +40,9 @@ class FastPathConfig:
 def _best_time(fn, repeats: int) -> float:
     best = float("inf")
     for _ in range(repeats):
-        start = time.perf_counter()
+        elapsed = stopwatch()
         fn()
-        best = min(best, time.perf_counter() - start)
+        best = min(best, elapsed())
     return best
 
 
@@ -84,9 +84,9 @@ def run_fastpath(
         feats = model.infer_stem(chunk)
         per_stage = []
         for stage in range(model.num_stages):
-            start = time.perf_counter()
+            elapsed = stopwatch()
             feats, _ = model.infer_stage(feats, stage)
-            per_stage.append(1e3 * (time.perf_counter() - start))
+            per_stage.append(1e3 * elapsed())
         stage_ms.append(
             {"batch": label, "stages_ms": per_stage, "per_image_ms": sum(per_stage) / len(chunk)}
         )

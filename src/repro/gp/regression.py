@@ -1,4 +1,4 @@
-"""Exact Gaussian-process regression with Cholesky factorization.
+"""Exact Gaussian-process regression.
 
 Used to learn the confidence-curve models pˆ(l') = GP_{l→l'}(p(l)) of
 Section III-B.  Inputs are 1-D confidences in [0, 1] (though the
@@ -10,11 +10,9 @@ this system uses.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .kernels import Kernel, RBFKernel
 
@@ -26,6 +24,16 @@ def _as_2d(x: np.ndarray) -> np.ndarray:
     if x.ndim != 2:
         raise ValueError("inputs must be (n,) or (n, d)")
     return x
+
+
+def _as_xy(x: np.ndarray, y: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    x = _as_2d(x)
+    y = np.asarray(y, dtype=np.float64).reshape(-1)
+    if len(x) != len(y):
+        raise ValueError("x and y must have the same length")
+    if len(x) == 0:
+        raise ValueError("cannot fit a GP on zero samples")
+    return x, y
 
 
 class GPRegression:
@@ -44,25 +52,32 @@ class GPRegression:
         self.noise = noise
         self._x_train: Optional[np.ndarray] = None
         self._y_mean = 0.0
+        self._k: Optional[np.ndarray] = None
         self._alpha: Optional[np.ndarray] = None
-        self._cho = None
+        self._quad = 0.0
+        self._log_det = 0.0
 
     @property
     def fitted(self) -> bool:
         return self._alpha is not None
 
     def fit(self, x: np.ndarray, y: np.ndarray) -> "GPRegression":
-        x = _as_2d(x)
-        y = np.asarray(y, dtype=np.float64).reshape(-1)
-        if len(x) != len(y):
-            raise ValueError("x and y must have the same length")
-        if len(x) == 0:
-            raise ValueError("cannot fit a GP on zero samples")
+        x, y = _as_xy(x, y)
+        return self._fit_gram(x, y, self.kernel(x, x))
+
+    def _fit_gram(self, x: np.ndarray, y: np.ndarray, k: np.ndarray) -> "GPRegression":
+        """Fit on ``k = kernel(x, x)``, adding the noise to its diagonal in place."""
         self._x_train = x
         self._y_mean = float(y.mean())
-        k = self.kernel(x, x) + self.noise * np.eye(len(x))
-        self._cho = cho_factor(k, lower=True)
-        self._alpha = cho_solve(self._cho, y - self._y_mean)
+        k[np.diag_indices_from(k)] += self.noise
+        centered = y - self._y_mean
+        self._k = k
+        self._alpha = np.linalg.solve(k, centered)
+        # The two terms of the marginal likelihood, kept so that
+        # log_marginal_likelihood() costs nothing: y^T K^-1 y, and log|K|
+        # from the Cholesky diagonal.
+        self._quad = float(centered @ self._alpha)
+        self._log_det = 2.0 * float(np.log(np.diag(np.linalg.cholesky(k))).sum())
         return self
 
     def predict(
@@ -76,7 +91,7 @@ class GPRegression:
         mean = k_star @ self._alpha + self._y_mean
         if not return_std:
             return mean, None
-        v = cho_solve(self._cho, k_star.T)
+        v = np.linalg.solve(self._k, k_star.T)
         prior = np.diag(self.kernel(x, x))
         var = np.maximum(prior - np.einsum("ij,ji->i", k_star, v), 1e-12)
         return mean, np.sqrt(var)
@@ -93,15 +108,8 @@ class GPRegression:
         """Log p(y | X) of the fitted model — used for hyper-parameter search."""
         if not self.fitted:
             raise RuntimeError("call fit() before log_marginal_likelihood()")
-        lower = self._cho[0]
         n = len(self._x_train)
-        y_centered_alpha = self._alpha
-        # log|K| via the Cholesky diagonal.
-        log_det = 2.0 * np.log(np.diag(lower)).sum()
-        # y^T K^-1 y = (y - mean)^T alpha; reconstruct y - mean from alpha:
-        k = self.kernel(self._x_train, self._x_train) + self.noise * np.eye(n)
-        quad = float(y_centered_alpha @ (k @ y_centered_alpha))
-        return -0.5 * (quad + log_det + n * np.log(2 * np.pi))
+        return -0.5 * (self._quad + self._log_det + n * np.log(2 * np.pi))
 
     @staticmethod
     def fit_with_grid_search(
@@ -112,11 +120,15 @@ class GPRegression:
         kernel_cls=RBFKernel,
     ) -> "GPRegression":
         """Select (length_scale, noise) maximizing marginal likelihood."""
+        x, y = _as_xy(x, y)
         best: Optional[Tuple[float, GPRegression]] = None
         for ls in length_scales:
+            kernel = kernel_cls(length_scale=ls)
+            # The noise levels share the kernel matrix; only its diagonal differs.
+            gram = kernel(x, x)
             for noise in noises:
-                model = GPRegression(kernel_cls(length_scale=ls), noise=noise)
-                model.fit(x, y)
+                model = GPRegression(kernel, noise=noise)
+                model._fit_gram(x, y, gram.copy())
                 lml = model.log_marginal_likelihood()
                 if best is None or lml > best[0]:
                     best = (lml, model)

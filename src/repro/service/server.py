@@ -6,11 +6,10 @@ import ctypes
 import functools
 import threading
 from collections import OrderedDict
+from statistics import NormalDist
 from typing import Callable, Dict, Optional, Tuple, TypeVar
 
 import numpy as np
-
-from scipy.stats import norm
 
 from .. import faults, telemetry
 from ..admission import AdmissionController
@@ -521,7 +520,7 @@ class EugeneService:
             )
         x = np.asarray(request.inputs, dtype=np.float64).reshape(len(request.inputs), -1)
         mean, std = entry.model.predict(x)
-        z = float(norm.ppf(0.5 + request.confidence_level / 2.0))
+        z = NormalDist().inv_cdf(0.5 + request.confidence_level / 2.0)
         return EstimateResponse(
             means=mean,
             stds=std,

@@ -33,11 +33,10 @@ or, scoped (used throughout the tests)::
 from __future__ import annotations
 
 import functools
-import time
 from contextlib import contextmanager
 from typing import Callable, Iterator, Optional
 
-from ..clock import MONOTONIC
+from ..clock import MONOTONIC, stopwatch
 from .export import render_text, to_dict, to_json
 from .metrics import BoundedLabels, Counter, Gauge, Histogram, MetricsRegistry
 from .trace import (
@@ -157,14 +156,13 @@ def timed(endpoint: str) -> Callable:
             # Counted on entry so a summary built *inside* the endpoint
             # (InferResponse.metrics) already includes this request.
             requests.inc()
-            start = time.perf_counter()
+            elapsed = stopwatch()
             try:
                 result = fn(*args, **kwargs)
             except Exception:
                 errors.inc()
                 raise
-            elapsed_ms = 1e3 * (time.perf_counter() - start)
-            latency.observe(elapsed_ms)
+            latency.observe(1e3 * elapsed())
             return result
 
         return wrapper

@@ -26,6 +26,7 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
+from ..clock import stopwatch
 from ..cluster import make_cluster
 from ..cluster.router import RouterConfig, ServiceRouter
 from ..faults import BackpressureError, CircuitBreaker, RetryPolicy
@@ -166,8 +167,6 @@ class ClusterDriver:
 
         ``limit`` caps the number of replayed arrivals (smoke runs).
         """
-        import time as _time
-
         trace = self.trace
         n = len(trace) if limit is None else min(limit, len(trace))
         router = make_cluster(
@@ -198,7 +197,7 @@ class ClusterDriver:
             # ``reduce``/``train_estimator`` calls during the replay).
             disposables: deque = deque()
             outcomes: List[Dict[str, TenantOutcome]] = []
-            start = _time.perf_counter()
+            replay_time = stopwatch()
             threads = []
             for j in range(self.num_threads):
                 out: Dict[str, TenantOutcome] = {}
@@ -214,7 +213,7 @@ class ClusterDriver:
                 t.start()
             for t in threads:
                 t.join()
-            elapsed = _time.perf_counter() - start
+            elapsed = replay_time()
             merged: Dict[str, TenantOutcome] = {}
             for out in outcomes:
                 for tenant, outcome in out.items():

@@ -5,9 +5,10 @@ and compared on another, or a component that sleeps for real while its
 test drives a virtual clock.  Every component therefore owns a
 :class:`~repro.clock.Clock` or is handed ``now``; this test walks every
 module under ``src/repro`` and fails on a read of ``time.monotonic``,
-``time.time`` or ``time.sleep`` — as an attribute of the ``time`` module
-(under any alias) or imported by name — anywhere but ``clock.py``.
-``time.perf_counter`` stays legal: a stopwatch for measured durations.
+``time.time``, ``time.sleep`` or ``time.perf_counter`` — as an attribute
+of the ``time`` module (under any alias) or imported by name — anywhere
+but ``clock.py``.  Measured durations go through
+:func:`~repro.clock.stopwatch`.
 """
 
 import ast
@@ -17,8 +18,8 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
 
 #: The module allowed to read time.
 CLOCK_MODULE = "clock.py"
-#: ``time`` functions that read or spend time on a timeline.
-FORBIDDEN = {"monotonic", "time", "sleep"}
+#: ``time`` functions that read or spend time on a timeline, or time a span.
+FORBIDDEN = {"monotonic", "time", "sleep", "perf_counter"}
 #: module under src/repro -> why it may read time directly.
 ALLOWED = {}
 
@@ -81,16 +82,18 @@ def test_checker_flags_synthetic_offenders():
             "clock = time.monotonic",
             "import time as _t; _t.sleep(1)",
             "from time import sleep",
-            "from time import monotonic as now, perf_counter",
+            "from time import monotonic as now",
             "from time import *",
+            "start = time.perf_counter()",
+            "from time import perf_counter as tick",
         ]
     )
-    assert [line for line, _ in time_reads(bad)] == list(range(2, 10))
+    assert [line for line, _ in time_reads(bad)] == list(range(2, 12))
     good = "\n".join(
         [
             "import time",
-            "start = time.perf_counter()",
-            "from time import perf_counter",
+            "elapsed = stopwatch()",
+            "ms = 1e3 * elapsed()",
             "clock.sleep(0.1)",
             "MONOTONIC.now()",
             "record.time = 3",
