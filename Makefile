@@ -70,10 +70,10 @@ isolation-smoke:
 	$(PYTHON) -m repro.cli isolation --smoke --seed 0
 
 bench:
-	$(PYTHON) -m pytest benchmarks/ --benchmark-only -s
+	$(PYTHON) -m pytest benchmarks/test_paper.py --benchmark-only -s
 
 bench-fast:
-	$(PYTHON) -m pytest benchmarks/test_inference_fastpath.py --benchmark-only -s
+	$(PYTHON) -m pytest benchmarks/test_paper.py --benchmark-only -s -k fastpath
 
 # The repo's benchmark (BENCHMARK.json): five workloads, end-to-end and
 # per-layer metrics; results land in the git-ignored bench/out/.

@@ -1,112 +1,43 @@
 """Shared fixtures for the benchmark harness.
 
-Each ``test_*`` module regenerates one table or figure of the paper.  The
+``test_paper.py`` regenerates every table and figure of the paper.  The
 trained benchmark model is built once (and disk-cached under
 ``.bench_cache/``); per-experiment outputs are printed to stdout (run with
-``-s`` to see them live) *and* written to ``bench_results/<name>.txt`` so a
-plain ``pytest benchmarks/ --benchmark-only`` leaves the full experiment
-record on disk.
+``-s`` to see them live) *and* written to ``bench_results/<record>.txt``
+so a plain ``pytest benchmarks/ --benchmark-only`` leaves the full
+experiment record on disk.
 """
 
 from __future__ import annotations
 
-import time
-from pathlib import Path
-
-import numpy as np
 import pytest
 
+from repro import faults, telemetry
 from repro.experiments.common import get_benchmark_artifacts
 
-RESULTS_DIR = Path(__file__).resolve().parent.parent / "bench_results"
-
 
 @pytest.fixture(scope="session", autouse=True)
-def nograd_perf_guard():
-    """Perf-regression guard: the no-grad fast path must stay measurably
-    faster than the autograd forward.  Runs once per bench session on a
-    small model so a regression (e.g. an ``infer`` override silently
-    falling back to graph construction) fails loudly rather than rotting.
+def uninstrumented_stack_guard():
+    """Benchmarks measure the uninstrumented, disarmed stack: a telemetry
+    session left enabled would tax every number reported here, and an armed
+    FaultPlan would inject latency/crashes into them (either left over from
+    a previous run or installed by an experiment helper), so fail loudly
+    before and after the session instead.
     """
-    from repro.nn.resnet import StagedResNet, StagedResNetConfig
-    from repro.nn.tensor import Tensor
-
-    model = StagedResNet(
-        StagedResNetConfig(num_classes=5, image_size=8, stage_channels=(4, 8),
-                           blocks_per_stage=1)
-    )
-    model.eval()
-    x = np.random.default_rng(0).normal(size=(8, 3, 8, 8))
-    model.predict_proba(x)  # warm up scratch buffers
-
-    def best(fn, repeats=5):
-        times = []
-        for _ in range(repeats):
-            start = time.perf_counter()
-            fn()
-            times.append(time.perf_counter() - start)
-        return min(times)
-
-    t_grad = best(lambda: model.forward(Tensor(x)))
-    t_fast = best(lambda: model.predict_proba(x))
-    assert t_fast < t_grad, (
-        f"no-grad fast path regressed: {1e3 * t_fast:.2f} ms vs "
-        f"{1e3 * t_grad:.2f} ms autograd forward"
-    )
-    yield
-
-
-@pytest.fixture(scope="session", autouse=True)
-def telemetry_disabled_guard():
-    """Benchmarks measure the uninstrumented hot path: a telemetry session
-    left enabled (by a previous test run or an experiment helper) would
-    silently tax every number reported here, so fail loudly instead.
-    """
-    from repro import telemetry
-
     assert telemetry.active() is None, (
         "a telemetry session is enabled; benchmarks must run with "
         "telemetry disabled"
     )
-    yield
-    assert telemetry.active() is None, (
-        "a benchmark left a telemetry session enabled"
-    )
-
-
-@pytest.fixture(scope="session", autouse=True)
-def no_fault_plan_guard():
-    """Benchmarks must measure the disarmed stack: an armed FaultPlan (left
-    over from a chaos run or installed by an experiment helper) would
-    inject latency/crashes into the very numbers being reported, so fail
-    loudly before and after the session instead.
-    """
-    from repro import faults
-
     assert faults.active() is None, (
         "a FaultPlan is armed; benchmarks must run with fault injection "
         "disabled (call repro.faults.uninstall() first)"
     )
     yield
-    assert faults.active() is None, (
-        "a benchmark left a FaultPlan armed"
-    )
+    assert telemetry.active() is None, "a benchmark left a telemetry session enabled"
+    assert faults.active() is None, "a benchmark left a FaultPlan armed"
 
 
 @pytest.fixture(scope="session")
 def artifacts():
     """The trained + calibrated benchmark model and its outputs."""
     return get_benchmark_artifacts()
-
-
-@pytest.fixture(scope="session")
-def record_result():
-    """Write an experiment's formatted output to bench_results/ and stdout."""
-    RESULTS_DIR.mkdir(exist_ok=True)
-
-    def _record(name: str, text: str) -> None:
-        path = RESULTS_DIR / f"{name}.txt"
-        path.write_text(text + "\n")
-        print(f"\n{'=' * 70}\n{name}\n{'=' * 70}\n{text}")
-
-    return _record

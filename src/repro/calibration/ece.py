@@ -14,7 +14,7 @@ al. 2015) and the standard definition weight each bin by ``|S_m| / n`` where
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 

@@ -19,8 +19,8 @@ calibration cannot degrade feature quality.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import List
 
 import numpy as np
 

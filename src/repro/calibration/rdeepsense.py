@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from statistics import NormalDist
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 

@@ -42,7 +42,7 @@ import os
 import queue
 import threading
 from concurrent.futures import Future
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from multiprocessing.connection import wait as _connection_wait
 from typing import Any, Dict, List, Optional, Tuple
 

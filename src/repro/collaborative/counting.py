@@ -18,8 +18,8 @@ aggregates shared (world-remapped) detections into region-level occupancy:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List, Sequence
 
 import numpy as np
 

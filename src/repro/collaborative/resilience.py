@@ -15,7 +15,7 @@ filters rogue boxes before they pollute the cheap inference path.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence
+from typing import Dict, List
 
 import numpy as np
 

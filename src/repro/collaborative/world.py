@@ -7,8 +7,8 @@ what lets the Table IV benchmark measure detection accuracy exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Optional, Tuple
 
 import numpy as np
 

@@ -25,8 +25,8 @@ triggers full network execution on the server".
 from __future__ import annotations
 
 from collections import Counter, deque
-from dataclasses import dataclass, field
-from typing import Deque, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Deque, Dict, List, Optional, Tuple
 
 import numpy as np
 

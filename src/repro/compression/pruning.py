@@ -18,16 +18,14 @@ stage) on a target class subset, optionally distilling from the full model.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..nn import functional as F
 from ..nn.data import Dataset
-from ..nn.layers import Dense, Module, ReLU, Sequential
+from ..nn.layers import Dense, Module, Sequential
 from ..nn.resnet import StagedResNet, StagedResNetConfig
-from ..nn.tensor import Tensor
 from ..nn.training import train_staged_model
 
 

@@ -1,10 +1,13 @@
-"""Experiment drivers reproducing every table and figure of the paper.
+"""Experiment drivers: every table and figure of the paper, and the gates.
 
-Each module exposes a ``run_*`` function returning plain dicts/arrays; the
-``benchmarks/`` tree calls these and prints the same rows/series the paper
-reports.  Heavy artifacts (the trained benchmark-scale staged model and its
-stage outputs) are cached on disk by :mod:`repro.experiments.common` so a
-full benchmark run trains each model once.
+Each module holds its drivers (``run_*`` returning plain dicts/arrays,
+``format_*`` rendering them) and, beside them, one
+:class:`~repro.experiments.experiment.Experiment` declaration per
+experiment with the named ``check`` of the paper's claim or the gate's
+bar.  :mod:`repro.cli` runs every declaration the same way, and
+``benchmarks/test_paper.py`` runs the paper ones.  The trained
+benchmark-scale staged model and its stage outputs are cached on disk by
+:mod:`repro.experiments.common`, so a full run trains each model once.
 
 Experiment index (DESIGN.md §4):
 

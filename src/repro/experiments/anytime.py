@@ -23,7 +23,7 @@ prefix into a served (possibly degraded) response.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
@@ -33,8 +33,9 @@ from ..scheduler.confidence import GPConfidencePredictor
 from ..scheduler.gen2 import Gen2Policy
 from ..scheduler.policies import EDFPolicy, RTDeepIoTPolicy
 from ..scheduler.simulator import PoolSimulator, SimulationConfig
-from .common import BenchmarkArtifacts, get_benchmark_artifacts
-from .openloop import synthetic_overload_inputs
+from .common import BenchmarkArtifacts
+from .experiment import JSON, SEED, SYNTHETIC_SMOKE, Experiment, flag
+from .openloop import overload_inputs
 
 
 @dataclass
@@ -82,20 +83,9 @@ def run_anytime(
 ) -> Dict[str, List[Dict[str, float]]]:
     """Returns, per setup, one row of serving metrics per load factor."""
     config = config or AnytimeConfig()
-    if synthetic:
-        oracles, predictor = synthetic_overload_inputs(
-            config.num_tasks, seed=config.seed
-        )
-    else:
-        from ..scheduler.simulator import TaskOracle
-
-        artifacts = artifacts or get_benchmark_artifacts()
-        oracles = TaskOracle.table_from_outputs(artifacts.test_outputs)[
-            : config.num_tasks
-        ]
-        predictor = GPConfidencePredictor(
-            num_classes=artifacts.model.config.num_classes, seed=0
-        ).fit(artifacts.train_outputs["confidences"])
+    oracles, predictor = overload_inputs(
+        config.num_tasks, config.seed, synthetic, artifacts
+    )
     num_stages = oracles[0].num_stages
     capacity = config.num_workers / float(num_stages)  # tasks/s, unit stages
 
@@ -186,3 +176,18 @@ def check_anytime(
                 f"a response with no executed mandatory prefix at load {load:g}"
             )
     return failures
+
+
+ANYTIME = Experiment(
+    name="anytime",
+    summary="Gen-2 must beat EDF and utility at 2-3x overload with zero late responses",
+    flags=(
+        JSON, SYNTHETIC_SMOKE, SEED,
+        flag("--tasks", type=int, default=AnytimeConfig.num_tasks),
+    ),
+    run=lambda args: run_anytime(
+        config=AnytimeConfig(seed=args.seed, num_tasks=args.tasks), synthetic=args.smoke
+    ),
+    format=format_anytime,
+    check=check_anytime,
+)

@@ -50,12 +50,9 @@ from ..cluster import (
     RouterConfig,
     make_cluster,
 )
-from ..datasets import SyntheticImageConfig, make_image_dataset
-from ..nn.resnet import StagedResNet, StagedResNetConfig
-from ..nn.training import collect_stage_outputs
-from ..scheduler.confidence import GPConfidencePredictor
 from ..service import ClassifyRequest, RejectedResponse
-from .cluster_scaling import _shm_leaked_blocks
+from .cluster_scaling import _build_model, _shm_leaked_blocks
+from .experiment import JSON, SEED, Experiment, flag
 
 
 @dataclass
@@ -106,15 +103,6 @@ class AutoscaleExperimentConfig:
             prewarm_pool_size=0,
         )
     )
-    model_config: StagedResNetConfig = field(
-        default_factory=lambda: StagedResNetConfig(
-            num_classes=3,
-            image_size=8,
-            stage_channels=(4, 8),
-            blocks_per_stage=1,
-            seed=0,
-        )
-    )
 
 
 def make_trace(config: AutoscaleExperimentConfig) -> List[float]:
@@ -132,23 +120,6 @@ def make_trace(config: AutoscaleExperimentConfig) -> List[float]:
     for i in range(start, min(config.steps, start + config.flash_steps)):
         rates[i] *= config.flash_factor
     return rates
-
-
-def _build_model(config: AutoscaleExperimentConfig):
-    dataset = make_image_dataset(
-        48,
-        SyntheticImageConfig(
-            num_classes=config.model_config.num_classes,
-            image_size=config.model_config.image_size,
-            seed=3,
-        ),
-        seed=config.seed,
-    )
-    model = StagedResNet(config.model_config)
-    predictor = GPConfidencePredictor(
-        num_classes=config.model_config.num_classes, seed=config.seed
-    ).fit(collect_stage_outputs(model, dataset)["confidences"])
-    return model, dataset, predictor
 
 
 def _drive_trace(
@@ -358,7 +329,7 @@ def run_drain_chaos(
         synthetic_work_s=0.02,
         config=RouterConfig(replication_factor=2),
     ) as router:
-        model, dataset, predictor = _build_model(config)
+        model, dataset, predictor = _build_model(config.seed)
         gid = router.register_model(
             "chaos", model, train_set=dataset, predictor=predictor
         )
@@ -430,7 +401,7 @@ def run_autoscale(
     config = config or AutoscaleExperimentConfig()
     if config.smoke:
         config.steps = min(config.steps, 16)
-    model, dataset, predictor = _build_model(config)
+    model, dataset, predictor = _build_model(config.seed)
     rates = make_trace(config)
 
     setups: Dict[str, Dict[str, object]] = {}
@@ -603,3 +574,22 @@ def format_autoscale(results: Dict[str, object]) -> str:
         f"failovers={chaos['failovers']:.0f}"
     )
     return "\n".join(lines)
+
+
+AUTOSCALE = Experiment(
+    name="autoscale",
+    summary="Elastic vs static fleets on a diurnal + flash-crowd trace: goodput and cost",
+    flags=(
+        JSON, SEED,
+        flag("--smoke", action="store_true",
+             help="shorter trace and thread-backend chaos/cold-start only, for CI"),
+        flag("--steps", type=int, default=AutoscaleExperimentConfig.steps),
+        flag("--max-replicas", type=int, default=AutoscaleExperimentConfig.max_replicas,
+             help="fleet ceiling (and static-large size)"),
+    ),
+    run=lambda args: run_autoscale(AutoscaleExperimentConfig(
+        seed=args.seed, smoke=args.smoke, steps=args.steps, max_replicas=args.max_replicas
+    )),
+    format=format_autoscale,
+    check=check_autoscale,
+)

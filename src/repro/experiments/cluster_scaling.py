@@ -23,15 +23,15 @@ requests lost, and episode utility (summed serving confidence) within
 ``min_utility_ratio`` of the no-kill run.
 
 ``check_cluster_scaling`` turns those acceptance bars into failure
-strings; the ``repro cluster`` CLI (and ``make cluster``) exits non-zero
-on any of them.
+strings; ``repro cluster`` (and ``make cluster``) exits non-zero on any
+of them.
 """
 
 from __future__ import annotations
 
 import os
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -50,6 +50,7 @@ from ..nn.resnet import StagedResNet, StagedResNetConfig
 from ..nn.training import collect_stage_outputs
 from ..scheduler.confidence import GPConfidencePredictor
 from ..service import ClassifyRequest
+from .experiment import JSON, SEED, Experiment, flag
 
 
 @dataclass
@@ -71,15 +72,6 @@ class ClusterScalingConfig:
     #: process backend can overlap across cores.
     work_kind: str = WORK_SLEEP
     start_method: Optional[str] = None
-    model_config: StagedResNetConfig = field(
-        default_factory=lambda: StagedResNetConfig(
-            num_classes=3,
-            image_size=8,
-            stage_channels=(4, 8),
-            blocks_per_stage=1,
-            seed=0,
-        )
-    )
 
 
 def skip_reason(config: ClusterScalingConfig) -> Optional[str]:
@@ -120,20 +112,25 @@ def required_speedup(config: ClusterScalingConfig) -> float:
     return config.min_speedup_at_max
 
 
-def _build_model(config: ClusterScalingConfig):
+#: the untrained model every replica of the cluster and autoscale gates serves.
+TINY_MODEL = StagedResNetConfig(
+    num_classes=3, image_size=8, stage_channels=(4, 8), blocks_per_stage=1, seed=0
+)
+
+
+def _build_model(seed: int):
+    """``TINY_MODEL``, its dataset and a predictor fit on its outputs."""
     dataset = make_image_dataset(
         48,
         SyntheticImageConfig(
-            num_classes=config.model_config.num_classes,
-            image_size=config.model_config.image_size,
-            seed=3,
+            num_classes=TINY_MODEL.num_classes, image_size=TINY_MODEL.image_size, seed=3
         ),
-        seed=config.seed,
+        seed=seed,
     )
-    model = StagedResNet(config.model_config)
-    predictor = GPConfidencePredictor(
-        num_classes=config.model_config.num_classes, seed=config.seed
-    ).fit(collect_stage_outputs(model, dataset)["confidences"])
+    model = StagedResNet(TINY_MODEL)
+    predictor = GPConfidencePredictor(num_classes=TINY_MODEL.num_classes, seed=seed).fit(
+        collect_stage_outputs(model, dataset)["confidences"]
+    )
     return model, dataset, predictor
 
 
@@ -200,7 +197,7 @@ def run_cluster_scaling(
     config: Optional[ClusterScalingConfig] = None,
 ) -> Dict[str, object]:
     config = config or ClusterScalingConfig()
-    model, dataset, predictor = _build_model(config)
+    model, dataset, predictor = _build_model(config.seed)
     inputs = dataset.inputs
 
     scaling: List[Dict[str, float]] = []
@@ -377,3 +374,40 @@ def format_cluster_scaling(results: Dict[str, object]) -> str:
         f"utility ratio (kill / no-kill): {failover['utility_ratio']:.3f}"
     )
     return "\n".join(lines)
+
+
+def _config(args) -> ClusterScalingConfig:
+    return ClusterScalingConfig(
+        seed=args.seed,
+        backend=args.backend,
+        work_kind=args.work
+        or (WORK_SPIN if args.backend == PROCESS_BACKEND else WORK_SLEEP),
+        num_requests=args.requests,
+        replica_counts=tuple(sorted(set(args.replicas))),
+    )
+
+
+CLUSTER = Experiment(
+    name="cluster",
+    summary="Throughput over 1/2/4 replicas and a kill-one failover that loses nothing",
+    flags=(
+        JSON, SEED,
+        flag("--requests", type=int, default=ClusterScalingConfig.num_requests),
+        flag("--replicas", type=int, nargs="+", metavar="N",
+             default=ClusterScalingConfig.replica_counts,
+             help="replica counts to sweep (default: 1 2 4); the largest also "
+             "hosts the kill-one-replica failover episode"),
+        flag("--backend", choices=(THREAD_BACKEND, PROCESS_BACKEND),
+             default=THREAD_BACKEND,
+             help="replica execution backend: in-process worker threads or "
+             "real multiprocessing children with shm tensor transport"),
+        flag("--work", choices=(WORK_SLEEP, WORK_SPIN), default=None,
+             help="synthetic service-time model (default: sleep for the thread "
+             "backend, spin — compute-bound — for the process backend)"),
+    ),
+    skip=lambda args: skip_reason(_config(args)),
+    # Looked up at call time, so a test can stand in for the sweep.
+    run=lambda args: run_cluster_scaling(_config(args)),
+    format=format_cluster_scaling,
+    check=check_cluster_scaling,
+)

@@ -12,7 +12,7 @@ import os
 import pickle
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Optional
+from typing import Dict
 
 import numpy as np
 
@@ -21,6 +21,7 @@ from ..datasets import SyntheticImageConfig, make_image_dataset
 from ..nn.data import Dataset
 from ..nn.resnet import StagedResNet, StagedResNetConfig
 from ..nn.training import collect_stage_outputs, evaluate_stage_accuracy, train_staged_model
+from ..scheduler.confidence import GPConfidencePredictor
 
 #: benchmark-scale configuration — a numpy-trainable instance of the paper's
 #: three-stage topology over the synthetic CIFAR-10 substitute.
@@ -68,6 +69,12 @@ class BenchmarkArtifacts:
     @property
     def num_stages(self) -> int:
         return self.model.num_stages
+
+    def confidence_predictor(self) -> GPConfidencePredictor:
+        """The GP confidence-curve predictor fit on the training split."""
+        return GPConfidencePredictor(
+            num_classes=self.model.config.num_classes, seed=0
+        ).fit(self.train_outputs["confidences"])
 
     def uncalibrated_model(self) -> StagedResNet:
         """A copy of the model with pre-calibration weights installed."""

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from typing import Dict, List
 
-import numpy as np
 
 from ..collaborative.partitioning import (
     LinkSpec,
@@ -21,7 +20,6 @@ from ..collaborative.partitioning import (
 )
 from ..profiling.cost_model import MobileDeviceCostModel
 from ..profiling.stage_costs import stage_execution_times
-from ..scheduler.confidence import GPConfidencePredictor
 from ..scheduler.policies import RTDeepIoTPolicy
 from ..scheduler.service_classes import (
     BATCH,
@@ -32,6 +30,7 @@ from ..scheduler.service_classes import (
 )
 from ..scheduler.simulator import PoolSimulator, SimulationConfig, TaskOracle
 from .common import BenchmarkArtifacts, get_benchmark_artifacts
+from .experiment import Experiment, failed
 
 
 def run_service_classes(
@@ -43,9 +42,7 @@ def run_service_classes(
     """Compare class-aware vs class-blind scheduling on a mixed workload."""
     artifacts = artifacts or get_benchmark_artifacts()
     oracles = TaskOracle.table_from_outputs(artifacts.test_outputs)[:num_tasks]
-    predictor = GPConfidencePredictor(
-        num_classes=artifacts.model.config.num_classes, seed=0
-    ).fit(artifacts.train_outputs["confidences"])
+    predictor = artifacts.confidence_predictor()
     class_list = assign_classes(
         len(oracles), [INTERACTIVE, BATCH],
         [interactive_fraction, 1 - interactive_fraction], seed=seed,
@@ -81,6 +78,39 @@ def run_service_classes(
         ),
         "class-blind": evaluate(RTDeepIoTPolicy(predictor, k=1)),
     }
+
+
+def format_service_classes(result: Dict[str, Dict]) -> str:
+    lines = []
+    for name, row in result.items():
+        lines.append(
+            f"{name:12} accuracy={row['accuracy']:.3f} "
+            f"interactive-served={row['interactive_service_rate']:.3f} "
+            f"revenue={row['revenue']:.0f}"
+        )
+        for cls, bill in row["bills"].items():
+            lines.append(f"    {cls:12} {bill}")
+    return "\n".join(lines)
+
+
+def check_service_classes(result: Dict[str, Dict]) -> List[str]:
+    aware, blind = result["class-aware"], result["class-blind"]
+    return failed({
+        "class-aware serves at least as many interactive tasks in time":
+            aware["interactive_service_rate"] >= blind["interactive_service_rate"],
+        "class-aware accuracy within 10 points of class-blind":
+            aware["accuracy"] > blind["accuracy"] - 0.1,
+    })
+
+
+SERVICE_CLASSES = Experiment(
+    name="service-classes",
+    summary="Sec. V: class-aware vs class-blind scheduling, with per-class bills",
+    run=lambda args: run_service_classes(),
+    format=format_service_classes,
+    check=check_service_classes,
+    record="service_classes",
+)
 
 
 def run_partitioning(
@@ -134,3 +164,36 @@ def run_partitioning(
             }
         )
     return rows
+
+
+def format_partitioning(rows: List[Dict[str, float]]) -> str:
+    header = f"{'bandwidth (kbps)':>17} {'cut':>4} {'E[latency] ms':>14} {'P(offload)':>11}"
+    lines = [header, "-" * len(header)]
+    for r in rows:
+        lines.append(
+            f"{r['bandwidth_kbps']:>17.0f} {r['cut']:>4} "
+            f"{r['expected_latency_ms']:>14.1f} {r['offload_probability']:>11.2f}"
+        )
+    return "\n".join(lines)
+
+
+def check_partitioning(rows: List[Dict[str, float]]) -> List[str]:
+    latencies = [r["expected_latency_ms"] for r in rows]
+    return failed({
+        "more bandwidth never raises expected latency":
+            latencies == sorted(latencies, reverse=True),
+        # Starved uplinks push work toward the client, fat pipes toward
+        # the server.
+        "the cut moves toward the server as bandwidth grows":
+            rows[0]["cut"] >= rows[-1]["cut"],
+    })
+
+
+PARTITIONING = Experiment(
+    name="partitioning",
+    summary="Sec. IV-A: client/server cut point of the staged model vs bandwidth",
+    run=lambda args: run_partitioning(),
+    format=format_partitioning,
+    check=check_partitioning,
+    record="partitioning",
+)

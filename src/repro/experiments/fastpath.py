@@ -26,6 +26,7 @@ from ..clock import stopwatch
 from ..nn import functional as F
 from ..nn.tensor import Tensor
 from .common import BenchmarkArtifacts, get_benchmark_artifacts
+from .experiment import Experiment, failed
 
 
 @dataclass
@@ -124,3 +125,28 @@ def format_fastpath(results: Dict[str, object]) -> str:
             f"  batch={row['batch']:>3}: {stages}  ({row['per_image_ms']:.2f} ms/image)"
         )
     return "\n".join(lines)
+
+
+def check_fastpath(results: Dict[str, object]) -> List[str]:
+    single, batched = results["stage_latency"]
+    return failed({
+        # Batched no-grad serving at least doubles the per-image autograd
+        # throughput on the 3-stage benchmark model.
+        "batched no-grad serving >= 2x the per-image autograd throughput":
+            results["speedup_batched"] >= 2.0,
+        "dropping graph construction alone is faster":
+            results["speedup_nograd"] > 1.0,
+        # Batching amortises per-stage overhead.
+        "a full micro-batch costs less per image than a single image":
+            batched["per_image_ms"] < single["per_image_ms"],
+    })
+
+
+FASTPATH = Experiment(
+    name="fastpath",
+    summary="Extension: images/s of the autograd, no-grad and batched serving paths",
+    run=lambda args: run_fastpath(),
+    format=format_fastpath,
+    check=check_fastpath,
+    record="inference_fastpath",
+)

@@ -2,10 +2,11 @@
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import Dict, List
 
 from ..calibration.ece import ReliabilityDiagram, reliability_diagram
 from .common import BenchmarkArtifacts, get_benchmark_artifacts
+from .experiment import Experiment, failed
 
 
 def run_fig2(
@@ -36,3 +37,24 @@ def format_fig2(diagrams: Dict[str, ReliabilityDiagram]) -> str:
         parts.append(f"=== {name} (ECE={diagram.ece():.4f}) ===")
         parts.append(diagram.render_ascii())
     return "\n".join(parts)
+
+
+def check_fig2(diagrams: Dict[str, ReliabilityDiagram]) -> List[str]:
+    cal = diagrams["calibrated"]
+    populated = cal.counts > 20
+    return failed({
+        "calibration lowers the final stage's ECE":
+            cal.ece() < diagrams["uncalibrated"].ece(),
+        "calibrated bins with > 20 samples lie within 0.25 of the diagonal":
+            bool((abs(cal.accuracy[populated] - cal.centers[populated]) < 0.25).all()),
+    })
+
+
+FIG2 = Experiment(
+    name="fig2",
+    summary="E2 Fig. 2: reliability diagrams before/after entropy calibration",
+    run=lambda args: run_fig2(),
+    format=format_fig2,
+    check=check_fig2,
+    record="fig2_reliability",
+)

@@ -18,7 +18,7 @@ each concurrency level (same seeds), so differences are pure scheduling.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence
 
 import numpy as np
 
@@ -26,13 +26,9 @@ from ..profiling.cost_model import MobileDeviceCostModel
 from ..profiling.stage_costs import stage_execution_times
 from ..scheduler.confidence import GPConfidencePredictor
 from ..scheduler.policies import FIFOPolicy, RoundRobinPolicy, RTDeepIoTPolicy
-from ..scheduler.simulator import (
-    EpisodeResult,
-    SimulationConfig,
-    TaskOracle,
-    run_episodes,
-)
+from ..scheduler.simulator import SimulationConfig, TaskOracle, run_episodes
 from .common import BenchmarkArtifacts, get_benchmark_artifacts
+from .experiment import Experiment, failed
 
 CONCURRENCY_LEVELS = (2, 5, 10, 20)
 
@@ -88,9 +84,7 @@ def run_fig4(
     artifacts = artifacts or get_benchmark_artifacts()
     config = config or Fig4Config()
     oracles = TaskOracle.table_from_outputs(artifacts.test_outputs)
-    predictor = GPConfidencePredictor(
-        num_classes=artifacts.model.config.num_classes, seed=0
-    ).fit(artifacts.train_outputs["confidences"])
+    predictor = artifacts.confidence_predictor()
     # Equal stage times (the paper's optimality condition), in abstract units.
     raw = stage_execution_times(artifacts.model, MobileDeviceCostModel(), normalize=True)
     unit = raw[0]
@@ -159,3 +153,49 @@ def format_fig4(curves: Dict[str, PolicyCurve]) -> str:
             + "".join(f"{100 * s:>14.1f}" for s in curve.std_accuracy)
         )
     return "\n".join(lines)
+
+
+def check_fig4(curves: Dict[str, PolicyCurve]) -> List[str]:
+    def at(policy: str, series: str, concurrency: int = 20) -> float:
+        curve = curves[policy]
+        return getattr(curve, series)[curve.concurrency.index(concurrency)]
+
+    checks = {}
+    # Fig 4a: RTDeepIoT dominates RR at high concurrency.
+    for k in (1, 2, 3):
+        checks[f"RTDeepIoT-{k} beats RR at N=20"] = (
+            at(f"RTDeepIoT-{k}", "mean_accuracy") > at("RR", "mean_accuracy")
+        )
+    # Fig 4b: dynamic confidence updates beat the DC simplification, and
+    # every RTDeepIoT variant beats FIFO under load.
+    checks["RTDeepIoT-1 at least matches RTDeepIoT-DC-1 at N=20"] = (
+        at("RTDeepIoT-1", "mean_accuracy") >= at("RTDeepIoT-DC-1", "mean_accuracy")
+    )
+    for name in ("RTDeepIoT-1", "RTDeepIoT-DC-1", "RTDeepIoT-DC-2", "RTDeepIoT-DC-3"):
+        checks[f"{name} beats FIFO at N=20"] = (
+            at(name, "mean_accuracy") > at("FIFO", "mean_accuracy")
+        )
+    # Load degrades every policy's accuracy.
+    for name, curve in curves.items():
+        checks[f"{name} accuracy does not rise with concurrency"] = (
+            curve.mean_accuracy[0] >= curve.mean_accuracy[-1] - 0.02
+        )
+    # Fig 4c: under load the utility scheduler spreads confidence across
+    # tasks more evenly than FIFO and RR.
+    checks["RTDeepIoT-1 fairer than FIFO at N=20"] = (
+        at("RTDeepIoT-1", "fairness_std") < at("FIFO", "fairness_std")
+    )
+    checks["RTDeepIoT-1 about as fair as RR at N=20"] = (
+        at("RTDeepIoT-1", "fairness_std") <= at("RR", "fairness_std") + 0.02
+    )
+    return failed(checks)
+
+
+FIG4 = Experiment(
+    name="fig4",
+    summary="E5 Fig. 4: scheduling accuracy and fairness vs concurrency",
+    run=lambda args: run_fig4(),
+    format=format_fig4,
+    check=check_fig4,
+    record="fig4_scheduling",
+)

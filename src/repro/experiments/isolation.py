@@ -39,6 +39,7 @@ from ..workload import (
     generate_trace,
 )
 from ..workload.trace import FlashCrowd
+from .experiment import JSON, SEED, Experiment, flag
 
 #: Endpoint mix for the live phase: every endpoint exercised, but the
 #: heavy training endpoints kept rare so the replay sustains ~1k req/s.
@@ -429,3 +430,19 @@ def format_isolation(results: Dict[str, object]) -> str:
         + ("exact" if live["accounting_exact"] else "INEXACT"),
     ]
     return "\n".join(lines)
+
+
+ISOLATION = Experiment(
+    name="isolation",
+    summary="An abuser at 10x its quota must not hurt compliant tenants' p99 or goodput",
+    flags=(
+        JSON, SEED,
+        flag("--smoke", action="store_true",
+             help="scaled-down volume floors (same phases and gates), for CI"),
+    ),
+    run=lambda args: run_isolation(
+        IsolationExperimentConfig(seed=args.seed, smoke=args.smoke)
+    ),
+    format=format_isolation,
+    check=check_isolation,
+)

@@ -12,7 +12,7 @@ measure service accuracy and eviction rates per policy, for both smooth
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -23,6 +23,7 @@ from ..scheduler.confidence import GPConfidencePredictor
 from ..scheduler.policies import FIFOPolicy, RoundRobinPolicy, RTDeepIoTPolicy
 from ..scheduler.simulator import PoolSimulator, SimulationConfig, TaskOracle
 from .common import BenchmarkArtifacts, get_benchmark_artifacts
+from .experiment import JSON, SEED, SYNTHETIC_SMOKE, Experiment, failed, flag
 
 
 @dataclass
@@ -42,9 +43,7 @@ def run_openloop(
     artifacts = artifacts or get_benchmark_artifacts()
     config = config or OpenLoopConfig()
     oracles = TaskOracle.table_from_outputs(artifacts.test_outputs)[: config.num_tasks]
-    predictor = GPConfidencePredictor(
-        num_classes=artifacts.model.config.num_classes, seed=0
-    ).fit(artifacts.train_outputs["confidences"])
+    predictor = artifacts.confidence_predictor()
     capacity = config.num_workers / 3.0  # tasks/second at 3 unit stages each
 
     policies: Dict[str, Callable] = {
@@ -144,6 +143,17 @@ def synthetic_overload_inputs(
     return oracles, predictor
 
 
+def overload_inputs(
+    num_tasks: int, seed: int, synthetic: bool, artifacts: BenchmarkArtifacts = None
+) -> Tuple[List[TaskOracle], GPConfidencePredictor]:
+    """Synthetic oracles (the smoke path) or the benchmark model's."""
+    if synthetic:
+        return synthetic_overload_inputs(num_tasks, seed=seed)
+    artifacts = artifacts or get_benchmark_artifacts()
+    oracles = TaskOracle.table_from_outputs(artifacts.test_outputs)[:num_tasks]
+    return oracles, artifacts.confidence_predictor()
+
+
 def run_overload(
     artifacts: BenchmarkArtifacts = None,
     config: OverloadConfig = None,
@@ -165,18 +175,9 @@ def run_overload(
     acceptance metrics of docs/OVERLOAD.md.
     """
     config = config or OverloadConfig()
-    if synthetic:
-        oracles, predictor = synthetic_overload_inputs(
-            config.num_tasks, seed=config.seed
-        )
-    else:
-        artifacts = artifacts or get_benchmark_artifacts()
-        oracles = TaskOracle.table_from_outputs(artifacts.test_outputs)[
-            : config.num_tasks
-        ]
-        predictor = GPConfidencePredictor(
-            num_classes=artifacts.model.config.num_classes, seed=0
-        ).fit(artifacts.train_outputs["confidences"])
+    oracles, predictor = overload_inputs(
+        config.num_tasks, config.seed, synthetic, artifacts
+    )
     num_stages = oracles[0].num_stages
     capacity = config.num_workers / float(num_stages)  # tasks/s, unit stages
 
@@ -242,7 +243,6 @@ def format_overload(results: Dict[str, List[Dict[str, float]]]) -> str:
 
 
 def format_openloop(results: Dict[str, List[Dict[str, float]]]) -> str:
-    rows = next(iter(results.values()))
     header = f"{'policy':14} {'traffic':>8} {'load':>6} {'accuracy':>9} {'evicted':>8} {'stages':>7}"
     lines = [header, "-" * len(header)]
     for name, policy_rows in results.items():
@@ -253,3 +253,76 @@ def format_openloop(results: Dict[str, List[Dict[str, float]]]) -> str:
                 f"{r['mean_stages']:>7.2f}"
             )
     return "\n".join(lines)
+
+
+def check_openloop(results: Dict[str, List[Dict[str, float]]]) -> List[str]:
+    def row(policy: str, traffic: str, load: float) -> Dict[str, float]:
+        return next(
+            r for r in results[policy]
+            if r["traffic"] == traffic and r["load_factor"] == load
+        )
+
+    checks = {}
+    for traffic in ("poisson", "bursty"):
+        checks[f"RTDeepIoT-1 beats FIFO accuracy by > 5 points at 1.3x {traffic}"] = (
+            row("RTDeepIoT-1", traffic, 1.3)["accuracy"]
+            > row("FIFO", traffic, 1.3)["accuracy"] + 0.05
+        )
+    for policy in results:
+        checks[f"{policy}: bursts hurt at least as much as Poisson at 1.3x"] = (
+            row(policy, "bursty", 1.3)["accuracy"]
+            <= row(policy, "poisson", 1.3)["accuracy"] + 0.02
+        )
+        for traffic in ("poisson", "bursty"):
+            stages = [row(policy, traffic, load)["mean_stages"] for load in (0.5, 0.9, 1.3)]
+            checks[f"{policy}: stages per task fall with {traffic} load"] = (
+                stages == sorted(stages, reverse=True)
+            )
+    checks["under 10% evicted at 0.5x Poisson"] = (
+        row("RTDeepIoT-1", "poisson", 0.5)["eviction_rate"] < 0.10
+    )
+    return failed(checks)
+
+
+OPENLOOP = Experiment(
+    name="openloop",
+    summary="Extension: accuracy and evictions under Poisson and bursty open-loop load",
+    run=lambda args: run_openloop(),
+    format=format_openloop,
+    check=check_openloop,
+    record="openloop_serving",
+)
+
+
+def check_overload(
+    results: Dict[str, List[Dict[str, float]]],
+    max_queue_depth: int = OverloadConfig.max_queue_depth,
+) -> List[str]:
+    """Graceful degradation: past 2x capacity, the managed setup accrues at
+    least the baseline's utility and keeps its queue bounded."""
+    failures = []
+    base = {r["load_factor"]: r for r in results["fifo-baseline"]}
+    for row in results["admission"]:
+        load = row["load_factor"]
+        if load < 2.0:
+            continue
+        if row["utility"] < base[load]["utility"]:
+            failures.append(f"utility below baseline at load {load:g}")
+        if row["peak_queue_depth"] > max_queue_depth:
+            failures.append(f"queue bound exceeded at load {load:g}")
+    return failures
+
+
+OVERLOAD = Experiment(
+    name="overload",
+    summary="Load swept past capacity: admission control must beat FIFO from 2x on",
+    flags=(
+        JSON, SYNTHETIC_SMOKE, SEED,
+        flag("--tasks", type=int, default=OverloadConfig.num_tasks),
+    ),
+    run=lambda args: run_overload(
+        config=OverloadConfig(seed=args.seed, num_tasks=args.tasks), synthetic=args.smoke
+    ),
+    format=format_overload,
+    check=check_overload,
+)

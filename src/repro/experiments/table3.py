@@ -8,12 +8,12 @@ better predictions of the future).
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, List
 
 import numpy as np
 
-from ..scheduler.confidence import GPConfidencePredictor
 from .common import BenchmarkArtifacts, get_benchmark_artifacts
+from .experiment import Experiment, failed
 
 
 def run_table3(artifacts: BenchmarkArtifacts = None) -> Dict[str, Dict[str, float]]:
@@ -21,9 +21,7 @@ def run_table3(artifacts: BenchmarkArtifacts = None) -> Dict[str, Dict[str, floa
     artifacts = artifacts or get_benchmark_artifacts()
     train_conf = artifacts.train_outputs["confidences"]
     test_conf = artifacts.test_outputs["confidences"]
-    predictor = GPConfidencePredictor(
-        num_classes=artifacts.model.config.num_classes, seed=0
-    ).fit(train_conf)
+    predictor = artifacts.confidence_predictor()
 
     result: Dict[str, Dict[str, float]] = {}
     num_stages = artifacts.num_stages
@@ -48,3 +46,25 @@ def format_table3(table: Dict[str, Dict[str, float]]) -> str:
     lines.append(f"{'MAE':6}" + "".join(f"{table[n]['mae']:>10.3f}" for n in names))
     lines.append(f"{'R2':6}" + "".join(f"{table[n]['r2']:>10.2f}" for n in names))
     return "\n".join(lines)
+
+
+def check_table3(table: Dict[str, Dict[str, float]]) -> List[str]:
+    # More observed stages => a better prediction of the future stage.
+    best = table["GP2->3"]
+    return failed({
+        "GP2->3 MAE below GP1->3": best["mae"] < table["GP1->3"]["mae"],
+        "GP2->3 MAE below GP1->2": best["mae"] < table["GP1->2"]["mae"],
+        "GP2->3 R2 above GP1->3": best["r2"] > table["GP1->3"]["r2"],
+        "GP2->3 R2 above GP1->2": best["r2"] > table["GP1->2"]["r2"],
+        "GP2->3 R2 above 0.3": best["r2"] > 0.3,
+    })
+
+
+TABLE3 = Experiment(
+    name="table3",
+    summary="E4 Table III: MAE / R2 of the GP confidence-curve predictors",
+    run=lambda args: run_table3(),
+    format=format_table3,
+    check=check_table3,
+    record="table3_gp",
+)

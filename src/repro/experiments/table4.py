@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict
+from typing import Dict, List
 
 from ..collaborative import (
     CollaborativePipeline,
@@ -12,6 +12,7 @@ from ..collaborative import (
     WorldConfig,
     ring_of_cameras,
 )
+from .experiment import Experiment, failed
 
 
 @dataclass
@@ -79,3 +80,27 @@ def format_table4(rows: Dict[str, Dict[str, float]]) -> str:
             f"{paper['recognition_latency_ms']:>9.1f}"
         )
     return "\n".join(lines)
+
+
+def check_table4(rows: Dict[str, Dict[str, float]]) -> List[str]:
+    ind, col = rows["Individual"], rows["Collaborative"]
+    return failed({
+        # Paper: 68% -> 75.5%.
+        "collaboration lifts detection accuracy by > 4 points":
+            col["detection_accuracy"] > ind["detection_accuracy"] + 0.04,
+        # Paper: 550 ms -> 25 ms, ~22x.
+        "collaboration cuts recognition latency > 10x":
+            ind["recognition_latency_ms"] / col["recognition_latency_ms"] > 10.0,
+        "individual accuracy in the paper's 55-80% range":
+            0.55 < ind["detection_accuracy"] < 0.8,
+    })
+
+
+TABLE4 = Experiment(
+    name="table4",
+    summary="E6 Table IV: individual vs collaborative inferencing",
+    run=lambda args: run_table4(),
+    format=format_table4,
+    check=check_table4,
+    record="table4_collaborative",
+)

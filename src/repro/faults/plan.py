@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import threading
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np

@@ -21,14 +21,14 @@ Implementation notes
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 import numpy as np
 
 from ..nn import functional as F
 from ..nn.data import Dataset
-from ..nn.layers import Dense, Module, ReLU, Sequential
+from ..nn.layers import Dense, ReLU, Sequential
 from ..nn.losses import cross_entropy
 from ..nn.optim import Adam
 from ..nn.tensor import Tensor, concatenate

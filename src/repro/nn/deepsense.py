@@ -29,7 +29,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from . import functional as F
-from .layers import Conv2D, Dense, Module, Parameter, Sequential
+from .layers import Conv2D, Dense, Module, Sequential
 from .rnn import GRU
 from .tensor import Tensor, as_tensor, concatenate
 

@@ -14,7 +14,7 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from .tensor import Tensor, as_tensor, no_grad
+from .tensor import Tensor, as_tensor
 
 
 # ----------------------------------------------------------------------

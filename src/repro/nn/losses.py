@@ -13,7 +13,6 @@ MSE+NLL objective of RDeepSense (Section II-D) is provided as
 
 from __future__ import annotations
 
-from typing import Optional
 
 import numpy as np
 

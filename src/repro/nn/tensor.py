@@ -14,7 +14,7 @@ are reduced back to the operand's original shape by :func:`unbroadcast`.
 from __future__ import annotations
 
 import threading
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 

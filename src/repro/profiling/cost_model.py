@@ -37,7 +37,7 @@ FastDeepIoT's empirical finding, and it is what makes the profiler of
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List
 
 import numpy as np
 

@@ -15,9 +15,8 @@ move.  A Pareto-front helper exposes the whole capacity/latency trade-off.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
-import numpy as np
 
 from .cost_model import ConvLayerSpec, MobileDeviceCostModel
 from .profiler import PiecewiseLinearProfiler

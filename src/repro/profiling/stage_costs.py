@@ -10,7 +10,7 @@ same total duration (the configuration the paper's analysis assumes).
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 import numpy as np
 

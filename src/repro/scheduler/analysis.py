@@ -23,8 +23,7 @@ its last executed stage (chance-level baseline if none ran).
 
 from __future__ import annotations
 
-from itertools import combinations_with_replacement
-from typing import List, Sequence, Tuple
+from typing import List, Sequence
 
 import numpy as np
 

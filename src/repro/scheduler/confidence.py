@@ -19,11 +19,11 @@ Two predictor families are provided:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
-from ..gp import GPRegression, PiecewiseLinear, RBFKernel, approximate_gp
+from ..gp import GPRegression, PiecewiseLinear, approximate_gp
 
 
 class ConfidencePredictor:
@@ -131,14 +131,29 @@ class GPConfidencePredictor(ConfidencePredictor):
         if self.use_approximation:
             value = float(self._pls[key](observed_conf))
         else:
-            mean, _ = self._gps[key].predict(np.array([observed_conf]))
+            mean, _ = self.exact_gp(*key).predict(np.array([observed_conf]))
             value = float(mean[0])
         return float(np.clip(value, 0.0, 1.0))
 
     def exact_gp(self, observed_stage: int, target_stage: int) -> GPRegression:
         """Access the underlying GP (used by the Table III evaluation)."""
         self._check_fitted()
+        if not self._gps:
+            raise RuntimeError(
+                "this predictor was unpickled without its exact GPs (an "
+                "approximate predictor ships only its piecewise-linear "
+                "tables); query exact_gp in the process that fit it"
+            )
         return self._gps[(observed_stage, target_stage)]
+
+    def __getstate__(self) -> Dict:
+        # Queries of an approximate predictor read only ``_pls``; the exact
+        # GPs (training points, weights and an n x n kernel matrix per
+        # stage pair) would multiply every pickle and deep copy ~300x.
+        state = dict(self.__dict__)
+        if self.use_approximation:
+            state["_gps"] = {}
+        return state
 
 
 @dataclass

@@ -17,7 +17,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .confidence import ConfidencePredictor, ConstantSlopePredictor
+from .confidence import ConfidencePredictor
 from .task import TaskView
 
 PlanItem = Tuple[int, int]  # (task_id, stage index)

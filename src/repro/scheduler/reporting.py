@@ -9,7 +9,7 @@ examples and handy when debugging scheduling behaviour.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 

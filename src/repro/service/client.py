@@ -14,8 +14,7 @@ cache misses.
 from __future__ import annotations
 
 import uuid
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, TypeVar
+from typing import Callable, Dict, Optional, TypeVar
 
 import numpy as np
 

@@ -36,13 +36,12 @@ from __future__ import annotations
 import itertools
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 import numpy as np
 
 from .. import faults
-from ..nn import functional as F
 from ..nn.layers import Dense, Sequential
 from ..nn.losses import cross_entropy
 from ..nn.optim import Adam

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import math
 import threading
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 
 class Counter:

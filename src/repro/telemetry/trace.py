@@ -16,7 +16,7 @@ from __future__ import annotations
 import threading
 from collections import Counter as _TallyCounter
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Deque, Dict, List, Optional, Tuple
 
 #: The closed set of event kinds the scheduler stack emits.

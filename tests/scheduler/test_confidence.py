@@ -1,5 +1,7 @@
 """Tests for the confidence-curve predictors (GP-based and constant slope)."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -70,6 +72,42 @@ class TestGPConfidencePredictor:
         gp = pred.exact_gp(0, 1)
         assert len(gp._x_train) == 50
 
+
+
+class TestPickledPredictor:
+    """What the replica transport ships: the runtime path, not the GPs."""
+
+    @pytest.fixture(scope="class")
+    def fitted(self):
+        return GPConfidencePredictor(max_fit_points=120, seed=0).fit(
+            synthetic_confidence_matrix()
+        )
+
+    def test_round_trip_predicts_identically(self, fitted):
+        clone = pickle.loads(pickle.dumps(fitted))
+        grid = np.linspace(0.0, 1.0, 41)
+        for l_from, l_to in ((0, 1), (0, 2), (1, 2)):
+            before = [fitted.predict(l_from, c, l_to) for c in grid]
+            after = [clone.predict(l_from, c, l_to) for c in grid]
+            assert after == before
+        assert [clone.prior(s) for s in range(3)] == [
+            fitted.prior(s) for s in range(3)
+        ]
+
+    def test_pickle_leaves_the_exact_gps_behind(self, fitted):
+        assert len(pickle.dumps(fitted)) <= 10_000
+        clone = pickle.loads(pickle.dumps(fitted))
+        with pytest.raises(RuntimeError, match="exact GPs"):
+            clone.exact_gp(1, 2)
+        # The process that fit the predictor keeps them.
+        assert fitted.exact_gp(1, 2) is not None
+
+    def test_exact_predictor_keeps_its_gps(self):
+        exact = GPConfidencePredictor(
+            max_fit_points=60, use_approximation=False, seed=0
+        ).fit(synthetic_confidence_matrix(n=100))
+        clone = pickle.loads(pickle.dumps(exact))
+        assert clone.predict(0, 0.5, 2) == exact.predict(0, 0.5, 2)
 
 class TestConstantSlopePredictor:
     @pytest.fixture(scope="class")

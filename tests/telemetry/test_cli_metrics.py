@@ -1,8 +1,8 @@
 """Integration: the ``repro metrics`` CLI over a scripted serving workload.
 
-The workload (see :func:`repro.cli.run_metrics_workload`) trains a tiny
-staged model, then drives profile / micro-batched classify / two infer
-episodes (one with an impossible deadline) — so the export must show the
+The workload (see :func:`repro.experiments.serving.run_metrics_workload`)
+trains a tiny staged model, then drives profile / micro-batched classify /
+two infer episodes (one with an impossible deadline) — so the export must show the
 acceptance quantities end to end: per-stage latency p50/p95/p99, batch
 occupancy, deadline-miss count and per-endpoint request counts.
 """
