@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test chaos overload overload-smoke anytime anytime-smoke cluster cluster-proc autoscale autoscale-smoke workload workload-smoke isolation isolation-smoke bench bench-fast bench-e2e examples experiments clean
+.PHONY: install test chaos overload overload-smoke anytime anytime-smoke cluster cluster-proc autoscale autoscale-smoke workload workload-smoke isolation isolation-smoke bench bench-fast paper-check bench-e2e examples experiments clean
 
 install:
 	pip install -e . --no-build-isolation || $(PYTHON) setup.py develop
@@ -74,6 +74,20 @@ bench:
 
 bench-fast:
 	$(PYTHON) -m pytest benchmarks/test_paper.py --benchmark-only -s -k fastpath
+
+# Paper-record drift gate: re-run the paper experiments whose records are
+# byte-identical run to run (all but the timed fastpath and gp-approx
+# ones) and fail if any committed record under bench_results/ changed.
+PAPER_STABLE = table1 or fig2 or table2 or table3 or fig4 or table4 or \
+	resilience or compression or service-classes or partitioning or openloop
+PAPER_RECORDS = $(addprefix bench_results/,table1_profiling.txt \
+	fig2_reliability.txt table2_ece.txt table3_gp.txt fig4_scheduling.txt \
+	table4_collaborative.txt resilience.txt compression_ablation.txt \
+	service_classes.txt partitioning.txt openloop_serving.txt)
+
+paper-check:
+	$(PYTHON) -m pytest benchmarks/test_paper.py --benchmark-only -q -k "$(PAPER_STABLE)"
+	git diff --exit-code -- $(PAPER_RECORDS)
 
 # The repo's benchmark (BENCHMARK.json): five workloads, end-to-end and
 # per-layer metrics; results land in the git-ignored bench/out/.

@@ -9,7 +9,9 @@ Behind that surface it owns four concerns:
 and lives on ``replication_factor`` replicas chosen by rendezvous
 hashing (:mod:`repro.cluster.hashing`).  Training runs on one placement
 replica; the freshly registered entry is re-keyed from the replica's
-local id to the global id and copied to the remaining holders.
+local id to the global id and copied to the remaining holders.  Every
+placement change — registration, training, calibration, failover,
+scale-up, drain, unpark — goes through one path, ``_place``.
 
 **Balancing.**  Reads (classify / infer / profile / estimate / label)
 go to one holder chosen by the configured policy — ``round-robin``,
@@ -41,7 +43,7 @@ import itertools
 import threading
 from concurrent.futures import TimeoutError as FutureTimeoutError
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from ..admission import AdmissionController
 from ..faults import CircuitBreaker, TransientServiceError
@@ -146,33 +148,21 @@ class _RegistryView:
         self._router = router
 
     def get(self, model_id: str) -> ModelEntry:
-        with self._router._lock:
-            parked = self._router._parked.get(model_id)
+        router = self._router
+        with router._lock:
+            parked = router._parked.get(model_id)
         if parked is not None:
             return parked
-        for rid in self._router.holders(model_id):
-            replica = self._router.replicas.get(rid)
-            if (
-                replica is not None
-                and replica.alive
-                and replica.has_model(model_id)
-            ):
-                try:
-                    return replica.fetch_entry(model_id)
-                except (KeyError, TransientServiceError):
-                    continue  # raced a delete or a death: try the next holder
-        raise KeyError(f"unknown model id {model_id!r}")
+        entry = router._fetch_entry(model_id, router.holders(model_id))
+        if entry is None:
+            raise KeyError(f"unknown model id {model_id!r}")
+        return entry
 
     def __contains__(self, model_id: str) -> bool:
-        with self._router._lock:
-            return (
-                model_id in self._router._placement
-                or model_id in self._router._parked
-            )
+        return model_id in self._router.model_ids()
 
     def __len__(self) -> int:
-        with self._router._lock:
-            return len(self._router._placement) + len(self._router._parked)
+        return len(self._router.model_ids())
 
 
 class ServiceRouter:
@@ -385,27 +375,17 @@ class ServiceRouter:
     # Endpoint surface (mirrors EugeneService)
     # ------------------------------------------------------------------
     def train(self, request: TrainRequest) -> TrainResponse:
-        return self._routed(
-            "train", request, lambda: self._train_like("train", request)
-        )
+        return self._train_like("train", request)
 
     def train_deepsense(
         self, request: DeepSenseTrainRequest
     ) -> DeepSenseTrainResponse:
-        return self._routed(
-            "train_deepsense",
-            request,
-            lambda: self._train_like("train_deepsense", request),
-        )
+        return self._train_like("train_deepsense", request)
 
     def train_estimator(
         self, request: EstimatorTrainRequest
     ) -> EstimatorTrainResponse:
-        return self._routed(
-            "train_estimator",
-            request,
-            lambda: self._train_like("train_estimator", request),
-        )
+        return self._train_like("train_estimator", request)
 
     def reduce(self, request: ReduceRequest) -> ReduceResponse:
         return self._routed("reduce", request, lambda: self._reduce(request))
@@ -479,18 +459,7 @@ class ServiceRouter:
             class_map=class_map,
             parent_id=parent_id,
         )
-        desired = place(
-            gid, self._routable_ids(), self.config.replication_factor
-        )
-        installed = []
-        for rid in desired:
-            try:
-                self._install_on(rid, entry)
-            except TransientServiceError as error:
-                if isinstance(error, ReplicaDownError):
-                    self._on_replica_down(rid, reason=str(error))
-                continue
-            installed.append(rid)
+        installed, _ = self._place(gid, self._routable_ids(), entry)
         if not installed:
             raise NoHealthyReplicaError(
                 f"no replica could accept model {name!r}"
@@ -534,7 +503,8 @@ class ServiceRouter:
         return self.status()
 
     def _on_replica_down(self, rid: str, reason: str) -> None:
-        """Eject a dead/unreachable replica and restore replication."""
+        """Eject a dead/unreachable replica and re-replicate its models
+        from surviving copies."""
         with self._lock:
             if rid in self._ejected or rid not in self.replicas:
                 return
@@ -543,46 +513,26 @@ class ServiceRouter:
         if health is not None:
             health.mark_down(reason)
         self.metrics.counter("router.ejections").inc()
-        self._rereplicate_from(rid)
-
-    def _rereplicate_from(self, dead_rid: str) -> None:
-        with self._lock:
-            affected = [
-                (gid, list(holders))
-                for gid, holders in self._placement.items()
-                if dead_rid in holders
-            ]
         survivors = self._routable_ids()
-        for gid, holders in affected:
+        for gid, holders in self._placements_on(rid):
+            # A displaced copy (left behind by a rebalance or a drain)
+            # still serves as a source when no listed holder survives.
             sources = [
                 h
                 for h in holders
                 if h in survivors and self.replicas[h].has_model(gid)
-            ]
-            if not sources:
-                # Every copy died with its holders: the model is gone.
-                self.metrics.counter("router.models_lost").inc()
-                with self._lock:
-                    self._placement.pop(gid, None)
-                continue
-            desired = place(
-                gid, survivors, self.config.replication_factor
+            ] or [h for h in survivors if self.replicas[h].has_model(gid)]
+            new_holders, _ = self._place(
+                gid, survivors, sources, keep=sources[0] if sources else None
             )
-            new_holders = list(dict.fromkeys(sources[:1] + desired))[
-                : self.config.replication_factor
-            ]
-            for target in new_holders:
-                if self.replicas[target].has_model(gid):
-                    continue
-                try:
-                    self._copy_entry(sources[0], target, gid)
-                except TransientServiceError as error:
-                    if isinstance(error, ReplicaDownError):
-                        self._on_replica_down(target, reason=str(error))
-                    new_holders = [h for h in new_holders if h != target]
+            if new_holders:
+                self._commit(gid, new_holders)
+                self.metrics.counter("router.rereplications").inc()
+                continue
+            # Every copy died with its holders: the model is gone.
             with self._lock:
-                self._placement[gid] = new_holders
-            self.metrics.counter("router.rereplications").inc()
+                self._placement.pop(gid, None)
+            self.metrics.counter("router.models_lost").inc()
 
     # ------------------------------------------------------------------
     # Elastic topology (the autoscaler's surface)
@@ -640,15 +590,7 @@ class ServiceRouter:
                 raise KeyError(f"unknown replica id {rid!r}")
             if rid in self._draining:
                 raise ValueError(f"replica {rid!r} is already draining")
-            survivors = [
-                r
-                for r in self.replicas
-                if r != rid
-                and r not in self._ejected
-                and r not in self._draining
-                and self.replicas[r].alive
-            ]
-            if not survivors:
+            if not set(self.active_replica_ids()) - self._draining - {rid}:
                 raise ValueError(
                     f"cannot drain {rid!r}: it is the last live replica"
                 )
@@ -656,7 +598,17 @@ class ServiceRouter:
         self.metrics.counter("router.drains_started").inc()
         started = self.clock.now()
         replica = self.replicas[rid]
-        moved = self._evacuate_models(rid)
+        survivors = self._routable_ids()  # excludes the draining replica
+        moved = 0
+        for gid, holders in self._placements_on(rid):
+            # The draining replica itself is a valid (often the only)
+            # copy source: it is still alive and still answering.
+            sources = [h for h in holders if h != rid] + [rid]
+            installed, _ = self._place(gid, survivors, sources)
+            if installed:  # else remove_replica() parks the entry
+                self._commit(gid, installed)
+                moved += 1
+                self.metrics.counter("router.rereplications").inc()
         budget = timeout_s if timeout_s is not None else DRAIN_TIMEOUT_S
         drained = wait_until(
             lambda: replica.outstanding == 0 or not replica.alive,
@@ -688,33 +640,18 @@ class ServiceRouter:
         replica = self.replicas.get(rid)
         if replica is None:
             return
-        with self._lock:
-            affected = [
-                (gid, list(h))
-                for gid, h in self._placement.items()
-                if rid in h
-            ]
-        for gid, holders in affected:
+        for gid, holders in self._placements_on(rid):
             rest = [h for h in holders if h != rid]
             if rest:
-                with self._lock:
-                    if gid in self._placement:
-                        self._placement[gid] = rest
+                self._commit(gid, rest)
                 continue
-            entry = None
-            if replica.alive:
-                try:
-                    entry = replica.fetch_entry(gid)
-                except (KeyError, TransientServiceError):
-                    entry = None
+            entry = self._fetch_entry(gid, [rid])
             with self._lock:
                 self._placement.pop(gid, None)
                 if entry is not None:
                     self._parked[gid] = entry
-            if entry is not None:
-                self.metrics.counter("router.models_parked").inc()
-            else:
-                self.metrics.counter("router.models_lost").inc()
+            outcome = "lost" if entry is None else "parked"
+            self.metrics.counter(f"router.models_{outcome}").inc()
         self._retire_metrics(replica)
         replica.shutdown()
         with self._lock:
@@ -732,104 +669,20 @@ class ServiceRouter:
         of existing models.  Copies are *installed* on new rendezvous
         holders but never eagerly dropped from displaced ones — an
         in-flight read routed by the old placement must still find its
-        copy; stale copies cost memory, not correctness, and leave with
-        the model's delete/park.
+        copy, and a displaced copy is a re-replication source of last
+        resort; stale copies cost memory, not correctness.
         """
         routable = self._routable_ids()
         installed = 0
         moved = 0
-        if not routable:
-            return {"models_moved": 0, "copies_installed": 0}
         with self._lock:
             items = [(gid, list(h)) for gid, h in self._placement.items()]
         for gid, holders in items:
-            desired = place(gid, routable, self.config.replication_factor)
-            sources = [
-                h
-                for h in holders
-                if h in self.replicas
-                and self.replicas[h].alive
-                and self.replicas[h].has_model(gid)
-            ]
-            if not sources:
-                continue
-            new_holders = []
-            for target in desired:
-                if target in sources or self.replicas[target].has_model(gid):
-                    new_holders.append(target)
-                    continue
-                try:
-                    self._copy_entry(sources[0], target, gid)
-                except TransientServiceError as error:
-                    if isinstance(error, ReplicaDownError):
-                        self._on_replica_down(target, reason=str(error))
-                    continue
-                installed += 1
-                new_holders.append(target)
-            if not new_holders:
-                continue
-            with self._lock:
-                if (
-                    gid in self._placement
-                    and self._placement[gid] != new_holders
-                ):
-                    self._placement[gid] = new_holders
-                    moved += 1
+            new_holders, copies = self._place(gid, routable, holders)
+            installed += copies
+            moved += self._commit(gid, new_holders)
         self.metrics.counter("router.rebalances").inc()
         return {"models_moved": moved, "copies_installed": installed}
-
-    def _evacuate_models(self, rid: str) -> int:
-        """Step (2) of a drain: restore every placement's replication
-        factor on the survivors before the replica leaves."""
-        with self._lock:
-            affected = [
-                (gid, list(h))
-                for gid, h in self._placement.items()
-                if rid in h
-            ]
-        survivors = self._routable_ids()  # excludes the draining replica
-        moved = 0
-        for gid, holders in affected:
-            if not survivors:
-                break
-            desired = place(gid, survivors, self.config.replication_factor)
-            sources = [
-                h
-                for h in holders
-                if h != rid
-                and h in self.replicas
-                and self.replicas[h].alive
-                and self.replicas[h].has_model(gid)
-            ]
-            replica = self.replicas.get(rid)
-            if replica is not None and replica.alive and replica.has_model(gid):
-                # The draining replica itself is a valid (often the only)
-                # copy source; it is still alive and still answering.
-                sources.append(rid)
-            installed = [
-                h for h in desired if self.replicas[h].has_model(gid)
-            ]
-            for target in desired:
-                if target in installed:
-                    continue
-                for source in sources:
-                    try:
-                        self._copy_entry(source, target, gid)
-                    except TransientServiceError:
-                        continue
-                    installed.append(target)
-                    break
-            if installed:
-                with self._lock:
-                    if gid in self._placement:
-                        self._placement[gid] = [
-                            h for h in desired if h in installed
-                        ]
-                moved += 1
-                self.metrics.counter("router.rereplications").inc()
-            # else: no survivor could take a copy — keep the old
-            # placement; remove_replica() will park the entry.
-        return moved
 
     def _retire_metrics(self, replica) -> None:
         """Fold a departing replica's counters into the retired registry
@@ -873,29 +726,13 @@ class ServiceRouter:
             if gid not in self._placement:
                 raise KeyError(f"unknown model id {gid!r}")
             holders = list(self._placement[gid])
-        entry = None
-        for rid in holders:
-            replica = self.replicas.get(rid)
-            if replica is None or not replica.alive:
-                continue
-            try:
-                entry = replica.fetch_entry(gid)
-                break
-            except (KeyError, TransientServiceError):
-                continue
+        entry = self._fetch_entry(gid, holders)
         if entry is None:
             raise NoHealthyReplicaError(f"no live copy of {gid!r} to park")
         with self._lock:
             self._parked[gid] = entry
             self._placement.pop(gid, None)
-        for rid in holders:
-            replica = self.replicas.get(rid)
-            if replica is None or not replica.alive:
-                continue
-            try:
-                replica.drop_model(gid, timeout=self.config.call_timeout_s)
-            except (TransientServiceError, FutureTimeoutError):
-                pass
+        self._drop_copies(gid, holders)
         self.metrics.counter("router.models_parked").inc()
         return True
 
@@ -909,18 +746,7 @@ class ServiceRouter:
                     return list(self._placement[gid])
                 raise KeyError(f"model {gid!r} is not parked")
         started = self.clock.now()
-        desired = place(
-            gid, self._routable_ids(), self.config.replication_factor
-        )
-        installed = []
-        for rid in desired:
-            try:
-                self._install_on(rid, entry)
-            except TransientServiceError as error:
-                if isinstance(error, ReplicaDownError):
-                    self._on_replica_down(rid, reason=str(error))
-                continue
-            installed.append(rid)
+        installed, _ = self._place(gid, self._routable_ids(), entry)
         if not installed:
             raise NoHealthyReplicaError(
                 f"no replica could host unparked model {gid!r}"
@@ -956,6 +782,23 @@ class ServiceRouter:
     # ------------------------------------------------------------------
     def _next_id(self) -> str:
         return f"g{next(self._ids)}"
+
+    def _commit(self, gid: str, holders: List[str]) -> bool:
+        """Make non-empty ``holders`` the placement of a still-placed
+        ``gid``; returns whether the placement changed."""
+        with self._lock:
+            old = self._placement.get(gid)
+            if not holders or old is None or old == holders:
+                return False
+            self._placement[gid] = holders
+            return True
+
+    def _placements_on(self, rid: str) -> List[Tuple[str, List[str]]]:
+        """``(gid, holders)`` of every placement that lists ``rid``."""
+        with self._lock:
+            return [
+                (gid, list(h)) for gid, h in self._placement.items() if rid in h
+            ]
 
     def _routable_ids(self) -> List[str]:
         """Replicas eligible for *new* placements and routed calls.
@@ -1226,43 +1069,31 @@ class ServiceRouter:
     def _predictor_for(self, model_id: str):
         with self._lock:
             holders = list(self._placement.get(model_id, ()))
-        for rid in holders:
-            replica = self.replicas.get(rid)
-            if replica is None or not replica.alive:
-                continue
-            try:
-                predictor = replica.predictor_for(model_id)
-            except TransientServiceError:
-                continue
-            if predictor is not None:
-                return predictor
-        return None
+        return self._first_answer(
+            holders, lambda replica: replica.predictor_for(model_id)
+        )
 
     # ------------------------------------------------------------------
     # Mutations
     # ------------------------------------------------------------------
     def _train_like(self, endpoint: str, request):
-        gid = self._next_id()
-        response, rid = self._dispatch(
-            endpoint,
-            request,
-            lambda: self._ordered(
+        def handler():
+            # Training runs on one of the new model's rendezvous holders.
+            gid = self._next_id()
+            rf = self.config.replication_factor
+            response, rid = self._dispatch(
                 endpoint,
-                place(
-                    gid,
-                    self._routable_ids(),
-                    self.config.replication_factor,
-                ),
                 request,
-            ),
-        )
-        if rid is None:
+                lambda: self._ordered(
+                    endpoint, place(gid, self._routable_ids(), rf), request
+                ),
+            )
+            if rid is not None:
+                self._place_new(gid, rid, response)
+                self._touch(gid)
             return response
-        self._rekey(rid, response.model_id, gid)
-        response.model_id = gid
-        self._place_new(gid, rid)
-        self._touch(gid)
-        return response
+
+        return self._routed(endpoint, request, handler)
 
     def _reduce(self, request: ReduceRequest):
         parent_gid = request.model_id
@@ -1274,34 +1105,30 @@ class ServiceRouter:
         if rid is None:
             return response
         child_gid = self._next_id()
-        self._rekey(rid, response.model_id, child_gid)
-        response.model_id = child_gid
-        self._place_new(child_gid, rid)
-        with self._lock:
-            self._children.setdefault(parent_gid, set()).add(child_gid)
-            self._parent[child_gid] = parent_gid
+        if self._place_new(child_gid, rid, response):
+            with self._lock:
+                self._children.setdefault(parent_gid, set()).add(child_gid)
+                self._parent[child_gid] = parent_gid
         return response
 
-    def _place_new(self, gid: str, serving_rid: str) -> None:
-        """Record placement of a model just created on ``serving_rid``
-        and copy it to the remaining rendezvous holders."""
-        desired = place(
-            gid, self._routable_ids(), self.config.replication_factor
+    def _place_new(self, gid: str, serving_rid: str, response) -> bool:
+        """Re-key the model ``response`` names, just created on
+        ``serving_rid``, to its global id and copy it to the remaining
+        rendezvous holders; ``False`` when it was lost on the way."""
+        self.replicas[serving_rid].rekey(
+            response.model_id, gid, timeout=self.config.call_timeout_s
         )
-        holders = list(dict.fromkeys([serving_rid] + desired))[
-            : self.config.replication_factor
-        ]
-        installed = [serving_rid]
-        for target in holders[1:]:
-            try:
-                self._copy_entry(serving_rid, target, gid)
-            except TransientServiceError as error:
-                if isinstance(error, ReplicaDownError):
-                    self._on_replica_down(target, reason=str(error))
-                continue
-            installed.append(target)
+        response.model_id = gid
+        installed, _ = self._place(
+            gid, self._routable_ids(), [serving_rid], keep=serving_rid
+        )
+        if not installed:
+            # The only copy's replica failed before it could be copied.
+            self.metrics.counter("router.models_lost").inc()
+            return False
         with self._lock:
             self._placement[gid] = installed
+        return True
 
     def _calibrate(self, request: CalibrateRequest):
         gid = request.model_id
@@ -1312,17 +1139,11 @@ class ServiceRouter:
         )
         if rid is None:
             return response
-        # Calibration rewrote the holder's entry in place (model alphas,
-        # refitted predictor); refresh every other copy from it so the
-        # replicas keep serving the same model.
+        # Calibration rewrote the holder's entry in place (alphas,
+        # predictor): refresh every other holder's copy from it.
         with self._lock:
-            others = [h for h in self._placement.get(gid, ()) if h != rid]
-        for target in others:
-            try:
-                self._copy_entry(rid, target, gid)
-            except TransientServiceError as error:
-                if isinstance(error, ReplicaDownError):
-                    self._on_replica_down(target, reason=str(error))
+            holders = list(self._placement.get(gid, ()))
+        self._place(gid, holders, [rid], keep=rid, refresh=True)
         return response
 
     def _delete(self, request: DeleteRequest) -> DeleteResponse:
@@ -1348,17 +1169,7 @@ class ServiceRouter:
             holders = list(self._placement.get(gid, ()))
         for child in children:
             self._delete_subtree(child, out)
-        # Deletion is a broadcast: every live holder drops its copy.  A
-        # holder that dies mid-delete takes the copy with it, which is
-        # the outcome we wanted anyway.
-        for rid in holders:
-            replica = self.replicas.get(rid)
-            if replica is None or not replica.alive:
-                continue
-            try:
-                replica.drop_model(gid, timeout=self.config.call_timeout_s)
-            except (TransientServiceError, FutureTimeoutError):
-                pass
+        self._drop_copies(gid, holders)
         with self._lock:
             self._placement.pop(gid, None)
             self._parked.pop(gid, None)
@@ -1371,23 +1182,100 @@ class ServiceRouter:
     # ------------------------------------------------------------------
     # Replication plumbing
     # ------------------------------------------------------------------
-    def _rekey(self, rid: str, local_id: str, gid: str) -> None:
-        """Re-key a freshly registered model to its global id, serialized
-        with the replica's own traffic (worker thread or control pipe)."""
-        self.replicas[rid].rekey(
-            local_id, gid, timeout=self.config.call_timeout_s
-        )
+    def _drop_copies(self, gid: str, holders: Sequence[str]) -> None:
+        """Broadcast a drop to every live holder.  A holder that dies
+        mid-drop takes the copy with it, which is the outcome wanted."""
+        for rid in holders:
+            replica = self.replicas.get(rid)
+            if replica is None or not replica.alive:
+                continue
+            try:
+                replica.drop_model(gid, timeout=self.config.call_timeout_s)
+            except (TransientServiceError, FutureTimeoutError):
+                pass
 
-    def _copy_entry(self, source_rid: str, target_rid: str, gid: str) -> None:
-        entry = self.replicas[source_rid].fetch_entry(gid)
-        self._install_on(target_rid, entry)
+    def _place(
+        self,
+        gid: str,
+        pool: Sequence[str],
+        origin: Union[ModelEntry, Sequence[str]],
+        keep: Optional[str] = None,
+        refresh: bool = False,
+    ) -> Tuple[List[str], int]:
+        """The one placement path: walk ``pool`` in rendezvous rank
+        (``keep`` first) until ``replication_factor`` replicas hold
+        ``gid``; returns them in rank order and the copies made.
 
-    def _install_on(self, target_rid: str, entry: ModelEntry) -> None:
-        # install_entry deep-copies (thread backend) or pickles (process
-        # backend), so replicas never share mutable model state.
-        self.replicas[target_rid].install_entry(
-            entry, timeout=self.config.call_timeout_s
-        )
+        A replica holding the model counts (unless ``refresh``); any
+        other gets ``origin`` — an entry, or one fetched once from the
+        first of its source replicas that answers — and a failed install
+        passes to the next in rank.  A ``ReplicaDownError`` reports down
+        the replica whose call raised, source or target, after the walk.
+        """
+        rf = self.config.replication_factor
+        ranked = place(gid, pool, len(pool)) if pool else []
+        if keep is not None:
+            ranked = [keep] + [rid for rid in ranked if rid != keep]
+        sources = None if isinstance(origin, ModelEntry) else list(origin)
+        entry = origin if sources is None else None
+        down: Dict[str, str] = {}
+        holders: List[str] = []
+        copies = 0
+        for rid in ranked:
+            if len(holders) == rf:
+                break
+            if rid in down:
+                continue
+            if rid == keep or (
+                sources is not None
+                and not refresh
+                and self.replicas[rid].has_model(gid)
+            ):
+                holders.append(rid)
+                continue
+            if entry is None and sources:
+                entry = self._fetch_entry(gid, sources, down)
+                sources = []  # one fetch per placement
+                holders = [h for h in holders if h not in down]
+            if entry is None:
+                continue
+            try:
+                # install_entry deep-copies (thread backend) or pickles
+                # (process backend): replicas never share model state.
+                self.replicas[rid].install_entry(
+                    entry, timeout=self.config.call_timeout_s
+                )
+            except TransientServiceError as error:
+                if isinstance(error, ReplicaDownError):
+                    down[rid] = str(error)
+                continue
+            holders.append(rid)
+            copies += 1
+        for rid, reason in down.items():
+            self._on_replica_down(rid, reason=reason)
+        return holders, copies
+
+    def _fetch_entry(self, gid: str, rids, down=None) -> Optional[ModelEntry]:
+        return self._first_answer(rids, lambda r: r.fetch_entry(gid), down)
+
+    def _first_answer(self, rids: Sequence[str], ask, down=None):
+        """``ask(replica)`` of the first live replica in ``rids`` whose
+        answer is not ``None``.  A ``KeyError`` (raced a delete) or a
+        transient error (raced a death) moves on to the next replica; a
+        ``ReplicaDownError`` is also noted in ``down`` (id -> reason)."""
+        for rid in rids:
+            replica = self.replicas.get(rid)
+            if replica is None or not replica.alive:
+                continue
+            try:
+                answer = ask(replica)
+            except (KeyError, TransientServiceError) as error:
+                if down is not None and isinstance(error, ReplicaDownError):
+                    down[rid] = str(error)
+                continue
+            if answer is not None:
+                return answer
+        return None
 
 
 def make_replica(
@@ -1412,22 +1300,18 @@ def make_replica(
         raise ValueError(
             f"unknown backend {backend!r}; choose from {sorted(BACKENDS)}"
         )
+    common = dict(
+        seed=seed, synthetic_work_s=synthetic_work_s, work_kind=work_kind
+    )
     if backend == PROCESS_BACKEND:
         return ProcessReplica(
             replica_id,
-            seed=seed,
-            synthetic_work_s=synthetic_work_s,
-            work_kind=work_kind,
             start_method=start_method,
             arena_bytes=arena_bytes,
             auto_respawn=auto_respawn,
+            **common,
         )
-    return ServiceReplica(
-        replica_id,
-        seed=seed,
-        synthetic_work_s=synthetic_work_s,
-        work_kind=work_kind,
-    )
+    return ServiceReplica(replica_id, **common)
 
 
 def make_cluster(
@@ -1459,10 +1343,6 @@ def make_cluster(
     """
     if num_replicas < 1:
         raise ValueError("num_replicas must be >= 1")
-    if backend not in BACKENDS:
-        raise ValueError(
-            f"unknown backend {backend!r}; choose from {sorted(BACKENDS)}"
-        )
 
     def factory(replica_id: str, index: int):
         return make_replica(

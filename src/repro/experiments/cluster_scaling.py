@@ -4,9 +4,12 @@ Two questions, answered with the in-process cluster tier
 (:mod:`repro.cluster`):
 
 **Does the router scale serving out?**  The same closed-loop classify
-workload is driven against clusters of 1, 2 and 4 replicas.  Each
-replica models a backend with ``synthetic_work_s`` of device-independent
-service time plus the real model's forward pass; with the model fully
+workload is driven against clusters of 1, 2 and 4 replicas, each count
+timed over ``TIMED_ROUNDS`` fresh clusters in alternating order (1 2 4,
+then 4 2 1, …) and judged on its median throughput, so one slow phase of
+a shared host cannot decide the verdict.  Each replica models a backend
+with ``synthetic_work_s`` of device-independent service time plus the
+real model's forward pass; with the model fully
 replicated, throughput should grow near-linearly with N.  The service
 time is either a ``sleep`` (I/O-ish; thread replicas overlap it even on
 one core) or a ``spin`` (compute-bound, GIL-holding; only the
@@ -72,6 +75,12 @@ class ClusterScalingConfig:
     #: process backend can overlap across cores.
     work_kind: str = WORK_SLEEP
     start_method: Optional[str] = None
+
+
+#: fresh clusters timed per replica count, in alternating order; the gate
+#: reads the median, since one 0.2-0.45 s episode is shorter than a slow
+#: phase of a shared host.
+TIMED_ROUNDS = 5
 
 
 def skip_reason(config: ClusterScalingConfig) -> Optional[str]:
@@ -200,27 +209,51 @@ def run_cluster_scaling(
     model, dataset, predictor = _build_model(config.seed)
     inputs = dataset.inputs
 
+    rounds: Dict[int, List[Dict[str, float]]] = {
+        n: [] for n in config.replica_counts
+    }
+    for r in range(TIMED_ROUNDS):
+        order = config.replica_counts[:: 1 if r % 2 == 0 else -1]
+        for n in order:
+            # Full replication: every replica can serve, so throughput
+            # measures the router's balancing, not the replication factor.
+            with make_cluster(
+                n,
+                backend=config.backend,
+                seed=config.seed,
+                synthetic_work_s=config.synthetic_work_s,
+                work_kind=config.work_kind,
+                config=RouterConfig(replication_factor=n),
+                start_method=config.start_method,
+            ) as router:
+                gid = router.register_model(
+                    "scaling", model, train_set=dataset, predictor=predictor
+                )
+                # One untimed call pays the fresh cluster's one-off costs.
+                router.classify(
+                    ClassifyRequest(
+                        model_id=gid, inputs=inputs[: config.batch_per_request]
+                    )
+                )
+                row = _drive(router, gid, inputs, config)
+            row["shm_leaked_blocks"] = _shm_leaked_blocks(router)
+            rounds[n].append(row)
     scaling: List[Dict[str, float]] = []
-    for n in config.replica_counts:
-        # Full replication: every replica can serve, so throughput
-        # measures the router's balancing, not the replication factor.
-        router_config = RouterConfig(replication_factor=n)
-        with make_cluster(
-            n,
-            backend=config.backend,
-            seed=config.seed,
-            synthetic_work_s=config.synthetic_work_s,
-            work_kind=config.work_kind,
-            config=router_config,
-            start_method=config.start_method,
-        ) as router:
-            gid = router.register_model(
-                "scaling", model, train_set=dataset, predictor=predictor
-            )
-            row = _drive(router, gid, inputs, config)
-            row["replicas"] = n
-        row["shm_leaked_blocks"] = _shm_leaked_blocks(router)
-        scaling.append(row)
+    for n, rows in rounds.items():
+        rps = [row["throughput_rps"] for row in rows]
+        scaling.append(
+            {
+                "replicas": n,
+                "served": sum(row["served"] for row in rows),
+                "lost": sum(row["lost"] for row in rows),
+                "wall_s": float(np.median([row["wall_s"] for row in rows])),
+                "throughput_rps": float(np.median(rps)),
+                "rounds_rps": rps,
+                "shm_leaked_blocks": sum(
+                    row["shm_leaked_blocks"] for row in rows
+                ),
+            }
+        )
     base_rps = scaling[0]["throughput_rps"]
     for row in scaling:
         row["speedup"] = row["throughput_rps"] / base_rps if base_rps else 0.0
@@ -268,6 +301,7 @@ def run_cluster_scaling(
             "synthetic_work_s": config.synthetic_work_s,
             "min_speedup_at_max": config.min_speedup_at_max,
             "min_utility_ratio": config.min_utility_ratio,
+            "rounds": TIMED_ROUNDS,
             "backend": config.backend,
             "work_kind": config.work_kind,
             "cpu_count": os.cpu_count() or 1,
@@ -351,7 +385,9 @@ def format_cluster_scaling(results: Dict[str, object]) -> str:
         f"work={config.get('work_kind', 'sleep')} "
         f"({config.get('synthetic_work_s', 0) * 1e3:g} ms/call) "
         f"cores={config.get('cpu_count', '?')} "
-        f"required_speedup={config.get('required_speedup', config['min_speedup_at_max']):g}x",
+        f"required_speedup={config.get('required_speedup', config['min_speedup_at_max']):g}x "
+        f"rounds={config.get('rounds', 1)} (served and lost: all rounds; "
+        "wall s, req/s: median)",
         f"{'replicas':>8} {'served':>7} {'lost':>5} "
         f"{'wall s':>8} {'req/s':>8} {'speedup':>8}",
     ]

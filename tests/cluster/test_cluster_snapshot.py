@@ -19,7 +19,6 @@ import threading
 import numpy as np
 
 from repro.cluster import RouterConfig, make_cluster
-from repro.nn.resnet import StagedResNetConfig
 from repro.service.messages import ClassifyRequest, TrainRequest
 
 from .conftest import TINY

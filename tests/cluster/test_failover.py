@@ -19,6 +19,9 @@ The contracts pinned here are the cluster tier's whole reason to exist:
 - **Hung replica** — a call that outlives ``call_timeout_s`` (a stage
   stuck inside the replica) fails over to another holder, and the hung
   replica's breaker and health record the failure.
+- **Blame** — when a copy fails because its *source* replica is down,
+  that source is ejected, never the healthy target, and no replica that
+  still holds the model leaves the placement over it.
 """
 
 import threading
@@ -30,12 +33,20 @@ from repro.cluster import (
     CALL_SITE,
     HEARTBEAT_SITE,
     NoHealthyReplicaError,
+    ReplicaDownError,
     RouterConfig,
+    ServiceReplica,
     make_cluster,
+    place,
 )
 from repro.faults import FaultPlan, FaultSpec, RetryPolicy
 from repro.scheduler.runtime import STAGE_SITE
-from repro.service import ClassifyRequest, EugeneClient, InferRequest
+from repro.service import (
+    CalibrateRequest,
+    ClassifyRequest,
+    EugeneClient,
+    InferRequest,
+)
 
 from .conftest import TINY
 
@@ -273,3 +284,82 @@ class TestCallTimeoutFailover:
             assert router._breakers[hung[0]]._consecutive_failures == 1
             (healthy,) = set(router.replicas) - set(hung)
             assert router._breakers[healthy]._consecutive_failures == 0
+
+
+def fail_first_fetch(router, monkeypatch, kill=False):
+    """Make the next ``fetch_entry`` on any replica raise
+    ``ReplicaDownError`` (killing that replica first when ``kill``, as a
+    source that dies mid-copy); returns the ids whose call raised."""
+    raised = []
+    for replica in router.replicas.values():
+
+        def fetch(gid, replica=replica, real=replica.fetch_entry):
+            if raised:
+                return real(gid)
+            raised.append(replica.replica_id)
+            if kill:
+                replica.kill()
+            raise ReplicaDownError(f"replica {replica.replica_id!r} is down")
+
+        monkeypatch.setattr(replica, "fetch_entry", fetch)
+    return raised
+
+
+class TestBlameTheFailedReplica:
+    """A failed copy blames the replica whose call raised."""
+
+    config = RouterConfig(replication_factor=2)
+
+    @staticmethod
+    def assert_fair(router, raised, gids):
+        # Only the replica whose call raised is reported down, and it is.
+        assert router.ejected() == sorted(raised)
+        routable = router.active_replica_ids()
+        want = min(router.config.replication_factor, len(routable))
+        for gid in gids:
+            holders = router.holders(gid)
+            assert len(holders) == want, (gid, holders, routable)
+            assert all(router.replicas[h].has_model(gid) for h in holders)
+
+    def test_rebalance_blames_the_source(self, tiny_model, monkeypatch):
+        model = tiny_model[0]
+        with make_cluster(2, config=self.config) as router:
+            # Place models until one ranks the newcomer among its holders,
+            # so the rebalance has a copy to make.
+            gids = [router.register_model("m", model)]
+            while "r2" not in place(gids[-1], ["r0", "r1", "r2"], 2):
+                gids.append(router.register_model("m", model))
+            router.add_replica(ServiceReplica("r2"))
+            raised = fail_first_fetch(router, monkeypatch)
+            moved = router.rebalance()
+            assert len(raised) == 1
+            assert "r2" not in router.ejected()
+            assert moved["copies_installed"] >= 1
+            self.assert_fair(router, raised, gids)
+
+    def test_train_blames_the_dying_source(self, tiny_data, monkeypatch):
+        inputs, labels = tiny_data
+        with make_cluster(3, config=self.config) as router:
+            raised = fail_first_fetch(router, monkeypatch, kill=True)
+            trained = EugeneClient(router).train(
+                inputs, labels, model_config=TINY, epochs=1
+            )
+            assert len(raised) == 1
+            self.assert_fair(router, raised, [])
+            # The trained copy died with its replica before it could be
+            # copied: the model is lost, and counted so.
+            assert trained.model_id not in router.model_ids()
+            assert router.metrics.counter("router.models_lost").value == 1
+
+    def test_calibrate_blames_the_calibrated_holder(
+        self, tiny_data, monkeypatch
+    ):
+        inputs, labels = tiny_data
+        with make_cluster(3, config=self.config) as router:
+            gid = EugeneClient(router).train(
+                inputs, labels, model_config=TINY, epochs=1
+            ).model_id
+            raised = fail_first_fetch(router, monkeypatch)
+            router.calibrate(CalibrateRequest(gid, inputs, labels, epochs=1))
+            assert len(raised) == 1
+            self.assert_fair(router, raised, [gid])

@@ -66,7 +66,6 @@ from repro.service.messages import (
     ReduceRequest,
     ReduceResponse,
     RejectedResponse,
-    RejectedResponse as _RejectedResponse,  # noqa: F401 (re-export check)
     TrainRequest,
     TrainResponse,
 )

@@ -23,7 +23,7 @@ from repro.nn import (
     Tensor,
     cross_entropy,
 )
-from repro.nn.training import evaluate_stage_accuracy, train_staged_model
+from repro.nn.training import train_staged_model
 
 
 def make_mlp(widths=(6, 32, 32, 4), seed=0):

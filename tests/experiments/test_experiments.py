@@ -4,24 +4,12 @@ These avoid the disk-cached benchmark artifacts (which take minutes to
 build) by constructing miniature artifacts in-process.
 """
 
-import numpy as np
-import pytest
-
-from repro.calibration.entropy_reg import EntropyCalibrator
-from repro.datasets import SyntheticImageConfig, make_image_dataset
-from repro.experiments.common import BenchmarkArtifacts
 from repro.experiments.fig2 import run_fig2
-from repro.experiments.fig4 import Fig4Config, PolicyCurve, default_policies, run_fig4
+from repro.experiments.fig4 import Fig4Config, default_policies, run_fig4
 from repro.experiments.table1 import format_table1, run_table1
 from repro.experiments.table2 import run_table2
 from repro.experiments.table3 import run_table3
 from repro.experiments.table4 import Table4Config, format_table4, run_table4
-from repro.nn import StagedResNet, StagedResNetConfig
-from repro.nn.training import (
-    collect_stage_outputs,
-    evaluate_stage_accuracy,
-    train_staged_model,
-)
 from repro.scheduler.confidence import GPConfidencePredictor
 
 

@@ -2,7 +2,6 @@
 
 import threading
 
-import numpy as np
 import pytest
 
 from repro import faults, telemetry

@@ -23,7 +23,7 @@ from repro.scheduler import (
     StagedInferenceRuntime,
     TaskOracle,
 )
-from repro.service import EugeneClient, EugeneService, InferRequest, TrainRequest
+from repro.service import EugeneService, InferRequest, TrainRequest
 
 
 MODEL_CFG = StagedResNetConfig(

@@ -12,8 +12,6 @@ from repro.nn import (
     Flatten,
     GlobalAvgPool2D,
     MaxPool2D,
-    Module,
-    Parameter,
     ReLU,
     Sequential,
     Tensor,

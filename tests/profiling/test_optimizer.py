@@ -1,6 +1,5 @@
 """Tests for profiling-driven layer optimization (Sec. II-C payoff)."""
 
-import numpy as np
 import pytest
 
 from repro.profiling import (

@@ -15,7 +15,6 @@ from repro.profiling import (
     stage_execution_times,
 )
 from repro.profiling.cost_model import TABLE1_TIMES_MS
-from repro.profiling.profiler import ProfileSample
 
 
 class TestConvLayerSpec:

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.scheduler import (
-    ConstantSlopePredictor,
     FIFOPolicy,
     GPConfidencePredictor,
     RoundRobinPolicy,

@@ -1,7 +1,6 @@
 """Property-based invariants every scheduling policy must satisfy."""
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 

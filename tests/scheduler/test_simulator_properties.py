@@ -1,7 +1,6 @@
 """Property-based invariants of the worker-pool simulator."""
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 

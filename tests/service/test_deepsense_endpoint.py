@@ -6,7 +6,6 @@ import pytest
 from repro.datasets import SensorTimeSeriesConfig, make_sensor_dataset
 from repro.nn import DeepSenseConfig
 from repro.service import (
-    ClassifyRequest,
     DeepSenseTrainRequest,
     EugeneClient,
     EugeneService,

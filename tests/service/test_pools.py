@@ -4,8 +4,6 @@ import numpy as np
 import pytest
 
 from repro.service.pools import (
-    AuditReport,
-    Contribution,
     ContributorAuditor,
     DataPool,
     PoolAuthorizationError,

@@ -1,20 +1,23 @@
-"""Every import under ``src/repro`` is used.
+"""Every import under ``src/repro`` and ``tests`` is used.
 
 An unused import is dead weight that a reader has to rule out, and an
 unused module import is paid for at start-up by every process that loads
 the module (process replicas included).  This test walks every module
-under ``src/repro`` with the stdlib ``ast`` and fails on a name that an
-``import`` binds but the module never references.  A name counts as used
-when the module reads it (also inside a string annotation), lists it in
-``__all__``, or imports it in an ``__init__.py`` (a package re-export).
+under ``src/repro`` and ``tests`` with the stdlib ``ast`` and fails on a
+name that an ``import`` binds but the module never references.  A name
+counts as used when the module reads it (also inside a string
+annotation), lists it in ``__all__``, or imports it in an
+``__init__.py`` (a package re-export).
 """
 
 import ast
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
+ROOT = Path(__file__).resolve().parents[1]
+#: the trees walked; modules are named relative to the repo root.
+TREES = (ROOT / "src" / "repro", ROOT / "tests")
 
-#: module under src/repro -> names it may import without using, and why.
+#: module (path from the repo root) -> names it may import unused, and why.
 ALLOWED = {}
 
 
@@ -79,8 +82,9 @@ def unused_imports(source: str, filename: str = "<snippet>", package_init=False)
 
 def test_no_module_imports_a_name_it_does_not_use():
     offenders = []
-    for path in sorted(SRC.rglob("*.py")):
-        module = path.relative_to(SRC).as_posix()
+    paths = sorted(path for tree in TREES for path in tree.rglob("*.py"))
+    for path in paths:
+        module = path.relative_to(ROOT).as_posix()
         allowed = ALLOWED.get(module, {})
         offenders += [
             f"{module}:{line}: {name}"
