@@ -19,7 +19,9 @@ overload:
 
 overload-smoke:
 	$(PYTHON) -m pytest tests/admission tests/faults/test_overload_invariants.py -q
-	$(PYTHON) -m repro.cli overload --smoke --seed 0
+	$(PYTHON) -m repro.cli overload --smoke --seed 0 \
+		--record bench_results/overload.txt
+	git diff --exit-code -- bench_results/overload.txt
 
 # Gen-2 anytime gate: exits non-zero unless gen-2 beats the current EDF and
 # utility policies on accrued utility at >=2x overload with zero late
@@ -31,7 +33,8 @@ anytime:
 		--record bench_results/anytime.txt
 
 anytime-smoke:
-	$(PYTHON) -m pytest tests/scheduler/test_gen2.py tests/scheduler/test_utility_conservation.py -q
+	$(PYTHON) -m pytest tests/scheduler/test_gen2.py tests/scheduler/test_utility_conservation.py \
+		tests/scheduler/test_planning_cost.py -q
 	$(PYTHON) -m repro.cli anytime --smoke --seed 0
 
 cluster:

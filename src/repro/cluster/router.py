@@ -670,7 +670,9 @@ class ServiceRouter:
         holders but never eagerly dropped from displaced ones — an
         in-flight read routed by the old placement must still find its
         copy, and a displaced copy is a re-replication source of last
-        resort; stale copies cost memory, not correctness.
+        resort; stale copies cost memory, not correctness.  A calibrate
+        drops them (their weights would be stale), and a delete or a park
+        drops them with the rest.
         """
         routable = self._routable_ids()
         installed = 0
@@ -732,7 +734,7 @@ class ServiceRouter:
         with self._lock:
             self._parked[gid] = entry
             self._placement.pop(gid, None)
-        self._drop_copies(gid, holders)
+        self._drop_copies(gid)
         self.metrics.counter("router.models_parked").inc()
         return True
 
@@ -1140,10 +1142,15 @@ class ServiceRouter:
         if rid is None:
             return response
         # Calibration rewrote the holder's entry in place (alphas,
-        # predictor): refresh every other holder's copy from it.
+        # predictor): refresh every other holder's copy from it, and drop
+        # the displaced ones, so no failover can restore the old weights.
         with self._lock:
             holders = list(self._placement.get(gid, ()))
         self._place(gid, holders, [rid], keep=rid, refresh=True)
+        # Read again: a holder that failed the refresh was re-replicated.
+        with self._lock:
+            holders = list(self._placement.get(gid, ()))
+        self._drop_copies(gid, keep=holders)
         return response
 
     def _delete(self, request: DeleteRequest) -> DeleteResponse:
@@ -1166,10 +1173,9 @@ class ServiceRouter:
         out.append(gid)
         with self._lock:
             children = sorted(self._children.get(gid, ()))
-            holders = list(self._placement.get(gid, ()))
         for child in children:
             self._delete_subtree(child, out)
-        self._drop_copies(gid, holders)
+        self._drop_copies(gid)
         with self._lock:
             self._placement.pop(gid, None)
             self._parked.pop(gid, None)
@@ -1182,10 +1188,14 @@ class ServiceRouter:
     # ------------------------------------------------------------------
     # Replication plumbing
     # ------------------------------------------------------------------
-    def _drop_copies(self, gid: str, holders: Sequence[str]) -> None:
-        """Broadcast a drop to every live holder.  A holder that dies
-        mid-drop takes the copy with it, which is the outcome wanted."""
-        for rid in holders:
+    def _drop_copies(self, gid: str, keep: Sequence[str] = ()) -> None:
+        """Broadcast a drop to every live replica but ``keep`` — also to
+        replicas a rebalance or a drain displaced, whose copies no
+        placement lists.  A replica that dies mid-drop takes the copy
+        with it, which is the outcome wanted."""
+        with self._lock:
+            rids = [rid for rid in self.replicas if rid not in keep]
+        for rid in rids:
             replica = self.replicas.get(rid)
             if replica is None or not replica.alive:
                 continue

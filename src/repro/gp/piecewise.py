@@ -7,12 +7,17 @@ The paper's two-step recipe, verbatim:
 2. connect these profiling points with a piecewise-linear function.
 
 The resulting :class:`PiecewiseLinear` evaluates in O(log M) per query with
-tiny constants, which is what the scheduler calls on its hot path.
+tiny constants, which is what the scheduler calls on its hot path: the
+array ``__call__`` is ``np.interp``; the scalar :meth:`PiecewiseLinear.at`
+(the scheduler's path) is a ``bisect`` over the knots with numpy's own
+interpolation formula, so the two agree bit for bit.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Tuple
 
 import numpy as np
@@ -46,6 +51,29 @@ class PiecewiseLinear:
     def __call__(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
         return np.interp(x, self.knots_x, self.knots_y)
+
+    @cached_property
+    def _knots(self) -> Tuple[Tuple[float, ...], Tuple[float, ...]]:
+        # Built on the first scalar query, not at construction.
+        return tuple(self.knots_x.tolist()), tuple(self.knots_y.tolist())
+
+    def at(self, x: float) -> float:
+        """``self(x)`` for one finite float, without numpy's per-call cost.
+
+        The branches and the formula are ``np.interp``'s: the first knot
+        left of the domain, the last knot from the last abscissa on, the
+        knot's own value on a knot, else ``slope*(x - x[j]) + y[j]``.
+        """
+        xs, ys = self._knots
+        j = bisect_right(xs, x) - 1
+        if j < 0:
+            return ys[0]
+        if j >= len(xs) - 1:
+            return ys[-1]
+        if xs[j] == x:
+            return ys[j]
+        slope = (ys[j + 1] - ys[j]) / (xs[j + 1] - xs[j])
+        return slope * (x - xs[j]) + ys[j]
 
     @property
     def num_segments(self) -> int:

@@ -18,6 +18,7 @@ Two predictor families are provided:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, Tuple
 
@@ -127,13 +128,19 @@ class GPConfidencePredictor(ConfidencePredictor):
             raise ValueError("target stage must come after the observed stage")
         if not 0 <= target_stage < self.num_stages:
             raise IndexError(f"stage {target_stage} out of range")
+        observed_conf = float(observed_conf)
+        if not math.isfinite(observed_conf):
+            # np.interp would answer NaN and the scalar lookup the last
+            # knot; either would flow silently into a plan.
+            raise ValueError(f"observed_conf must be finite, got {observed_conf}")
         key = (observed_stage, target_stage)
         if self.use_approximation:
-            value = float(self._pls[key](observed_conf))
+            value = self._pls[key].at(observed_conf)
         else:
             mean, _ = self.exact_gp(*key).predict(np.array([observed_conf]))
             value = float(mean[0])
-        return float(np.clip(value, 0.0, 1.0))
+        # np.clip's own order: maximum(value, 0), then minimum(.., 1).
+        return min(max(value, 0.0), 1.0)
 
     def exact_gp(self, observed_stage: int, target_stage: int) -> GPRegression:
         """Access the underlying GP (used by the Table III evaluation)."""

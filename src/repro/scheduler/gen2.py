@@ -37,6 +37,7 @@ notes: ``docs/SCHEDULER.md``.
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -94,27 +95,56 @@ class _CapacityLedger:
     before ``d``: for every deadline in the funded set, the cumulative cost
     of stages due by then must not exceed ``num_workers * (deadline - now)``
     (the EDF-schedulability condition the planner enforces greedily).
+
+    The funded deadlines are kept sorted, with each one's funded cost and
+    the running (prefix) sum of costs up to it.  Adding cost at ``d`` only
+    changes the sums from ``d`` on, so only that tail is re-summed, in the
+    same left-to-right order as a from-scratch sum over the sorted set:
+    the floats, and so every verdict, are the same.
     """
 
     def __init__(self, num_workers: int, now: float) -> None:
         self.num_workers = num_workers
         self.now = now
-        self._alloc: Dict[float, float] = {}  # deadline -> funded cost
+        self._deadlines: List[float] = []
+        self._costs: List[float] = []  # funded cost per deadline
+        self._sums: List[float] = []  # prefix sums of _costs
+
+    def copy(self) -> "_CapacityLedger":
+        other = _CapacityLedger(self.num_workers, self.now)
+        other._deadlines = self._deadlines[:]
+        other._costs = self._costs[:]
+        other._sums = self._sums[:]
+        return other
 
     def try_add(self, deadline: float, cost: float) -> bool:
         """Fund one stage due by ``deadline`` if it keeps the set feasible."""
-        if deadline <= self.now + _EPS:
+        now = self.now
+        if deadline <= now + _EPS:
             return False
-        tentative = dict(self._alloc)
-        tentative[deadline] = tentative.get(deadline, 0.0) + cost
-        cum = 0.0
-        for d in sorted(tentative):
-            cum += tentative[d]
-            # Adding cost at `deadline` only raises cumulative load at
-            # deadlines >= it; earlier deadlines cannot newly violate.
-            if d + _EPS >= deadline and cum > self.num_workers * (d - self.now) + _EPS:
+        deadlines, costs = self._deadlines, self._costs
+        i = bisect_left(deadlines, deadline)
+        merge = i < len(deadlines) and deadlines[i] == deadline
+        new_cost = (costs[i] if merge else 0.0) + cost
+        cum = (self._sums[i - 1] if i else 0.0) + new_cost
+        # Adding cost at `deadline` only raises cumulative load at
+        # deadlines >= it; earlier ones hold what they held when they
+        # were last checked, so they cannot newly violate.
+        workers = self.num_workers
+        if cum > workers * (deadline - now) + _EPS:
+            return False
+        tail = [cum]
+        for j in range(i + 1 if merge else i, len(deadlines)):
+            cum += costs[j]
+            if cum > workers * (deadlines[j] - now) + _EPS:
                 return False
-        self._alloc = tentative
+            tail.append(cum)
+        if merge:
+            costs[i] = new_cost
+        else:
+            deadlines.insert(i, deadline)
+            costs.insert(i, new_cost)
+        self._sums[i:] = tail
         return True
 
 
@@ -151,6 +181,9 @@ class StageBudgetPlanner:
             raise ValueError("stage_time_s must be positive")
         if self.mandatory_stages < 1:
             raise ValueError("mandatory prefix needs at least one stage")
+        #: task id -> (stages done, stage count, latest confidence,
+        #: deadline) and the bids built from them, for the last plan's tasks.
+        self._bids: Dict[int, tuple] = {}
 
     # ------------------------------------------------------------------
     def _confidence_curve(self, view: TaskView) -> List[float]:
@@ -182,11 +215,8 @@ class StageBudgetPlanner:
             curve.append(prev)
         return curve
 
-    def _bids_for(self, view: TaskView, now: float) -> List[StageBid]:
-        """Feasible stage bids for one task, in stage order."""
-        feasible_count = reachable_stage(view, now, self.stage_time_s) + 1
-        if feasible_count <= view.stages_done:
-            return []
+    def _stage_bids(self, view: TaskView) -> List[StageBid]:
+        """Bids for every not-yet-run stage of one task, in stage order."""
         curve = self._confidence_curve(view)
         held = (
             view.latest_confidence
@@ -196,8 +226,6 @@ class StageBudgetPlanner:
         bids: List[StageBid] = []
         prev = held or 0.0
         for i, stage in enumerate(range(view.stages_done, view.num_stages)):
-            if stage >= feasible_count:
-                break
             gain = max(0.0, curve[i] - prev)
             prev = curve[i]
             bids.append(
@@ -212,16 +240,38 @@ class StageBudgetPlanner:
             )
         return bids
 
+    def _bids_for(
+        self, view: TaskView, now: float, kept: Dict[int, tuple]
+    ) -> List[StageBid]:
+        """Feasible stage bids for one task, in stage order.
+
+        A task's bids depend on ``now`` only through how many of them are
+        feasible, so the full list is reused from the previous plan while
+        the task's inputs to it are unchanged, and recorded in ``kept``.
+        """
+        feasible_count = reachable_stage(view, now, self.stage_time_s) + 1
+        if feasible_count <= view.stages_done:
+            return []
+        key = (view.stages_done, view.num_stages, view.latest_confidence, view.deadline)
+        entry = self._bids.get(view.task_id)
+        if entry is None or entry[0] != key:
+            entry = (key, self._stage_bids(view))
+        kept[view.task_id] = entry
+        return entry[1][: feasible_count - view.stages_done]
+
     def plan_budgets(self, views: Sequence[TaskView], now: float) -> BudgetPlan:
         runnable = [v for v in views if v.next_stage is not None]
         # Executed stages are owned unconditionally — a budget can never
         # fall below what already ran.
         budgets: Dict[int, int] = {v.task_id: v.stages_done for v in runnable}
+        kept: Dict[int, tuple] = {}
+        per_task: Dict[int, List[StageBid]] = {
+            v.task_id: self._bids_for(v, now, kept) for v in runnable
+        }
+        # Only this plan's tasks stay: the reuse is bounded by the views.
+        self._bids = kept
         if not runnable:
             return BudgetPlan(budgets=budgets, order=[])
-        per_task: Dict[int, List[StageBid]] = {
-            v.task_id: self._bids_for(v, now) for v in runnable
-        }
         demanded = sum(
             v.num_stages - v.stages_done for v in runnable
         )
@@ -237,10 +287,9 @@ class StageBudgetPlanner:
             prefix = [b for b in per_task[view.task_id] if b.mandatory]
             if not prefix:
                 continue
-            trial = _CapacityLedger(self.num_workers, now)
-            trial._alloc = dict(ledger._alloc)
+            trial = ledger.copy()
             if all(trial.try_add(b.deadline, b.cost) for b in prefix):
-                ledger._alloc = trial._alloc
+                ledger = trial
                 for b in prefix:
                     mandatory_order.append((b.task_id, b.stage))
                 budgets[view.task_id] = max(

@@ -56,6 +56,8 @@ class TaskRecord:
     #: full service.  Assignments are **tightening-only** — the property
     #: installed below this class enforces ``min(old, new)`` in one place.
     stage_cap: Optional[int] = None
+    #: the last :meth:`view` and the (stages done, cap) it was built at.
+    _view: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.deadline <= self.arrival_time:
@@ -133,9 +135,18 @@ class TaskRecord:
         return bool(self.outcomes[-1].correct)
 
     def view(self) -> "TaskView":
+        """The task as policies see it, rebuilt only when it changed.
+
+        A view changes only when a stage completes (``outcomes`` is
+        append-only) or the cap tightens, so the last one is handed out
+        again while both stand.
+        """
+        key = (len(self.outcomes), self._stage_cap)
+        if self._view is not None and self._view[0] == key:
+            return self._view[1]
         # Policies see the cap-aware stage count, so a degraded task is
         # never planned past its early exit.
-        return TaskView(
+        view = TaskView(
             task_id=self.task_id,
             arrival_time=self.arrival_time,
             deadline=self.deadline,
@@ -143,6 +154,8 @@ class TaskRecord:
             stages_done=self.stages_done,
             confidences=tuple(o.confidence for o in self.outcomes),
         )
+        self._view = (key, view)
+        return view
 
 
 # The dataclass-generated ``__init__``/``__repr__``/``__eq__`` captured the
